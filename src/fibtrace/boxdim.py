@@ -160,7 +160,6 @@ def asymptote_check(
     V_list,
     k: int,
     eps_grid=None,
-    resolution: float = 1e-9,
 ) -> list[dict]:
     """Dimension of the spectrum against the strong-coupling limit.
 
@@ -177,7 +176,7 @@ def asymptote_check(
         V = float(V)
         if V < 16.0:
             raise ValueError("asymptote check requires V >= 16")
-        chain = approximant_chain(k + 1, V, root_tolerance=resolution)
+        chain = approximant_chain(k + 1, V)
         j = k
         while j > 2:
             cover = chain[j - 1].union(chain[j])

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 
 import numpy as np
@@ -75,6 +74,14 @@ def _get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
     return int(val)
 
 
+def _get_level(cfg: dict, minimum: int) -> int:
+    """Cover level k; the cover also builds level k + 1."""
+    k = _get_int(cfg, "k", default=10, minimum=minimum)
+    if k + 1 > spectrum.MAX_LEVEL:
+        raise ConfigError(f"k: must be <= {spectrum.MAX_LEVEL - 1}, got {k}")
+    return k
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -97,7 +104,7 @@ def _bands_to_rows(bands) -> list[dict]:
 
 def cmd_spectrum(cfg: dict, out: str, seed: int | None) -> int:
     V = _get_float(cfg, "coupling", minimum=0.0)
-    k = _get_int(cfg, "k", default=10, minimum=1)
+    k = _get_level(cfg, minimum=1)
     resolution = _get_float(cfg, "resolution", default=1e-4)
     if resolution <= 0:
         raise ConfigError("resolution: must be > 0")
@@ -133,7 +140,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int | None) -> int:
         payload["estimate"] = _estimate_payload(est)
     elif mode == "spectrum":
         V = _get_float(cfg, "coupling", minimum=0.0)
-        k = _get_int(cfg, "k", default=10, minimum=2)
+        k = _get_level(cfg, minimum=2)
         cover = spectrum.spectrum_cover(
             V, k, _get_float(cfg, "resolution", default=1e-7)
         )
@@ -147,7 +154,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int | None) -> int:
             V_list = [float(v) for v in raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(f"couplings: not a number list: {raw!r}") from None
-        k = _get_int(cfg, "k", default=10, minimum=2)
+        k = _get_level(cfg, minimum=2)
         rows = boxdim.asymptote_check(V_list, k)
         payload["table"] = [
             {
@@ -356,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output path (JSON)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap; FIBTRACE_THREADS overrides from the environment",
-    )
-    parser.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -376,12 +377,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.overrides)
-        threads = args.threads
-        env_cap = os.environ.get("FIBTRACE_THREADS")
-        if env_cap is not None:
-            threads = min(int(env_cap), threads or int(env_cap))
-        if threads is not None and threads < 1:
-            raise ConfigError("threads: must be >= 1")
         return COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ The half-traces x_k(E) of the Fibonacci-block transfer matrices obey
     (x_{-1}, x_0, x_1) = (1, E/2, (E - V)/2),
 
 which is exactly that orbit read off coordinate-wise.  Periodic
-approximants give band sets {E : |x_k(E)| <= 1} whose consecutive
-unions cover the spectrum.
+approximants give band sets sigma_k = {E : |x_k(E)| <= 1} whose
+consecutive unions cover the spectrum.  By Floquet theory x_k = +1 or
+-1 exactly at the eigenvalues of the period-F_k operator with periodic
+or antiperiodic boundary conditions, so the band edges are computed as
+those eigenvalues.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intervals import BandSet, merge_intervals
+# merge_intervals is looked up here by perfbench/spans.py
+from .intervals import BandSet, merge_intervals  # noqa: F401
 
 __all__ = [
     "ALPHA",
     "OrbitRecord",
-    "approximant_bands",
+    "MAX_LEVEL",
     "approximant_chain",
-    "band_measure",
     "escape_mask",
     "escape_test",
     "fibonacci",
@@ -42,6 +45,10 @@ ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 OVERFLOW = 1e300
 
 MAX_ORACLE_INDEX = 16
+
+#: deepest approximant level; level k solves two dense F_k x F_k
+#: eigenproblems, and F_18 = 4181 makes each matrix 140 MB
+MAX_LEVEL = 18
 
 
 @lru_cache(maxsize=None)
@@ -196,116 +203,40 @@ def escape_mask(
     return escaped
 
 
-def _eval_half_trace(E: np.ndarray, coupling: float, k: int) -> np.ndarray:
-    """x_k(E) on an energy grid, clipped to avoid overflow artifacts."""
-    a = np.ones_like(E)
-    b = E / 2.0
-    c = (E - coupling) / 2.0
-    if k == 0:
-        return b
-    cap = 1e120  # keeps |x| > 1 decisions valid without reaching inf
-    for _ in range(k - 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = 2.0 * c * b - a
-        a, b, c = b, c, np.clip(nxt, -cap, cap)
-    return c
+def _fibonacci_word(k: int) -> np.ndarray:
+    """The period-F_k potential word w_k = w_{k-1} w_{k-2} (w_0 = 0, w_1 = 1)."""
+    words = [[0.0], [1.0]]
+    for _ in range(2, k + 1):
+        words.append(words[-1] + words[-2])
+    return np.array(words[k])
 
 
-def _band_edge(
-    E_out: float, E_in: float, coupling: float, k: int, tol: float
-) -> float:
-    """Bisect the boundary of {|x_k| <= 1} between an outside/inside pair."""
-    out, ins = E_out, E_in
-    for _ in range(60):
-        if abs(ins - out) <= tol:
-            break
-        mid = 0.5 * (out + ins)
-        val = _eval_half_trace(np.array([mid]), coupling, k)[0]
-        if np.isfinite(val) and abs(val) <= 1.0:
-            ins = mid
-        else:
-            out = mid
-    return ins
+def _level_bands(j: int, coupling: float) -> BandSet:
+    """sigma_j from the periodic and antiperiodic eigenvalues.
 
-
-def _bands_in_domain(
-    domain: list[tuple[float, float]],
-    coupling: float,
-    k: int,
-    root_tolerance: float,
-    points_per_interval: int = 129,
-) -> list[tuple[float, float]]:
-    bands: list[tuple[float, float]] = []
-    for lo, hi in domain:
-        n = points_per_interval
-        grid = np.linspace(lo, hi, n)
-        vals = _eval_half_trace(grid, coupling, k)
-        inside = np.isfinite(vals) & (np.abs(vals) <= 1.0)
-        idx = 0
-        while idx < n:
-            if not inside[idx]:
-                idx += 1
-                continue
-            start = idx
-            while idx + 1 < n and inside[idx + 1]:
-                idx += 1
-            left = grid[start]
-            if start > 0:
-                left = _band_edge(
-                    grid[start - 1], grid[start], coupling, k, root_tolerance
-                )
-            right = grid[idx]
-            if idx + 1 < n:
-                right = _band_edge(
-                    grid[idx + 1], grid[idx], coupling, k, root_tolerance
-                )
-            bands.append((left, right))
-            idx += 1
-    return merge_intervals(bands)
-
-
-def approximant_chain(
-    k: int,
-    coupling: float,
-    root_tolerance: float = 1e-6,
-    points_per_interval: int | None = None,
-) -> list[BandSet]:
-    """Band sets for approximant indices 1..k, refined level by level.
-
-    Levels 1 and 2 are closed-form; each later level is searched only
-    inside the union of the previous two (slightly inflated), which is
-    where all of its bands live.
+    x_j(E) = +1 (resp. -1) exactly at the eigenvalues of the period-F_j
+    operator with potential V * w_j under periodic (antiperiodic)
+    boundary conditions.  Sorted together, the 2 F_j values pair off
+    into the F_j band edges.
     """
-    if not 1 <= k <= 30:
-        raise ValueError("approximant index must be in 1..30")
-    if root_tolerance <= 0:
-        raise ValueError("root_tolerance must be > 0")
-    V = float(coupling)
-    if points_per_interval is None:
-        # band widths shrink per level by a factor ~ 2V at strong
-        # coupling, so the sampling density must keep up
-        points_per_interval = max(129, 8 * int(np.ceil(V)) + 1)
-    sigma0 = [(-2.0, 2.0)]
-    chain = [BandSet([(V - 2.0, V + 2.0)], generation=1)]
-    prev2 = sigma0
-    for j in range(2, k + 1):
-        pad = 4.0 * root_tolerance
-        domain = merge_intervals(
-            [(lo - pad, hi + pad) for lo, hi in chain[-1].intervals + prev2]
-        )
-        prev2 = chain[-1].intervals
-        bands = _bands_in_domain(
-            domain, V, j, root_tolerance, points_per_interval
-        )
-        chain.append(BandSet(bands, generation=j))
-    return chain
+    h = np.diag(coupling * _fibonacci_word(j))
+    idx = np.arange(len(h) - 1)
+    h[idx, idx + 1] = h[idx + 1, idx] = 1.0
+    edges = []
+    for corner in (1.0, -1.0):
+        g = h.copy()
+        g[0, -1] += corner  # adds to the diagonal when F_j = 1
+        g[-1, 0] += corner
+        edges.append(np.linalg.eigvalsh(g))
+    edges = np.sort(np.concatenate(edges)).reshape(-1, 2)
+    return BandSet(edges.tolist(), generation=j)
 
 
-def approximant_bands(
-    k: int, coupling: float, root_tolerance: float = 1e-6
-) -> BandSet:
-    """The band set {E : |x_k(E)| <= 1} as disjoint closed intervals."""
-    return approximant_chain(k, coupling, root_tolerance)[-1]
+def approximant_chain(k: int, coupling: float) -> list[BandSet]:
+    """Band sets {E : |x_j(E)| <= 1} for approximant indices j = 1..k."""
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL}")
+    return [_level_bands(j, float(coupling)) for j in range(1, k + 1)]
 
 
 def spectrum_cover(
@@ -313,16 +244,20 @@ def spectrum_cover(
 ) -> BandSet:
     """Union of the level-k and level-(k+1) band sets as a spectral cover.
 
-    Gaps narrower than ``resolution`` are merged: below the sampling
-    resolution they are indistinguishable from discretization artifacts.
+    Gaps narrower than ``resolution`` are merged.  For V > 0 the two
+    levels must hold exactly F_k and F_{k+1} bands; a level that lost
+    bands to float64 precision raises ValueError.
     """
     if k < 1:
         raise ValueError("approximant index must be >= 1")
-    chain = approximant_chain(k + 1, coupling, root_tolerance=resolution / 10.0)
+    chain = approximant_chain(k + 1, coupling)
+    if coupling > 0:
+        for j in (k, k + 1):
+            if len(chain[j - 1]) != fibonacci(j):
+                raise ValueError(
+                    f"level {j} resolves {len(chain[j - 1])} of "
+                    f"F_{j} = {fibonacci(j)} bands at V = {coupling:g}"
+                )
     cover = chain[k - 1].union(chain[k], gap_tol=resolution)
     cover.generation = k
     return cover
-
-
-def band_measure(b: BandSet) -> float:
-    return b.measure

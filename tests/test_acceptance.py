@@ -187,7 +187,7 @@ def test_criterion_09_spectrum_sanity():
     lo, hi = free.extent
     ok = abs(free.measure - 4.0) < 0.05
     ok = ok and abs(lo + 2.0) < 1e-2 and abs(hi - 2.0) < 1e-2
-    chain = spectrum.approximant_chain(13, 1.0, root_tolerance=1e-5)
+    chain = spectrum.approximant_chain(13, 1.0)
     measures = [
         chain[k - 1].union(chain[k], gap_tol=1e-4).measure
         for k in range(2, 13)

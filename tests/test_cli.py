@@ -49,6 +49,22 @@ def test_negative_coupling_exits_2_naming_field(tmp_path):
     assert "coupling" in r.stderr
 
 
+def test_level_past_the_cap_exits_2_naming_k(tmp_path):
+    from fibtrace.spectrum import MAX_LEVEL
+
+    for args in (
+        ("spectrum", "--set", "coupling=1"),
+        ("dimension", "--set", "mode=spectrum", "--set", "coupling=1"),
+        ("dimension", "--set", "mode=sweep", "--set", "couplings=16"),
+    ):
+        r = run_cli(
+            *args, "--out", str(tmp_path / "x.json"), "--set", f"k={MAX_LEVEL}"
+        )
+        assert r.returncode == 2
+        assert "k:" in r.stderr
+        assert not (tmp_path / "x.json").exists()
+
+
 def test_mesh_resolution_1_exits_2(tmp_path):
     r = run_cli(
         "mesh", "--out", str(tmp_path / "m.json"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fibtrace import spectrum
-from fibtrace.intervals import BandSet
 
 
 def test_fibonacci_numbers():
@@ -53,7 +52,7 @@ def test_free_spectrum_is_interval():
 
 
 def test_covers_nested_and_shrinking():
-    chain = spectrum.approximant_chain(9, 1.0, root_tolerance=1e-7)
+    chain = spectrum.approximant_chain(9, 1.0)
     covers = [
         chain[k - 1].union(chain[k], gap_tol=1e-4) for k in range(2, 9)
     ]
@@ -73,16 +72,49 @@ def test_bounded_energies_lie_in_cover():
     assert all(cover.contains(e, slack=1e-3) for e in E[bounded])
 
 
-def test_band_measure_helper():
-    b = BandSet([(0.0, 1.0), (2.0, 2.5)])
-    assert spectrum.band_measure(b) == 1.5
+def test_every_level_holds_fibonacci_many_bands():
+    for V in (0.1, 0.5, 1.0, 4.0, 16.0):
+        chain = spectrum.approximant_chain(13, V)
+        assert [len(level) for level in chain] == [
+            spectrum.fibonacci(j) for j in range(1, 14)
+        ]
+
+
+def test_band_edges_are_where_half_trace_is_one():
+    for V in (0.1, 0.5, 1.0):
+        for j, level in enumerate(spectrum.approximant_chain(10, V), start=1):
+            edges = level.as_array().ravel()
+            x = spectrum.half_trace_oracle(j, edges, V)
+            assert np.max(np.abs(np.abs(x) - 1.0)) < 1e-8
+
+
+def _half_trace_zeros(k, V):
+    """Zeros of x_k: eigenvalues of the period-F_k operator at Bloch phase pi/2."""
+    words = [[0.0], [1.0]]
+    for _ in range(2, k + 1):
+        words.append(words[-1] + words[-2])
+    h = np.diag(V * np.array(words[k])).astype(complex)
+    p = len(h)
+    idx = np.arange(p - 1)
+    h[idx, idx + 1] = h[idx + 1, idx] = 1.0
+    h[0, p - 1] += 1j
+    h[p - 1, 0] -= 1j
+    return np.linalg.eigvalsh(h)
+
+
+def test_strong_coupling_cover_holds_every_zero():
+    cover = spectrum.spectrum_cover(16.0, 12)
+    assert len(cover) > 0
+    zeros = _half_trace_zeros(12, 16.0)
+    assert len(zeros) == spectrum.fibonacci(12)
+    assert all(cover.contains(z) for z in zeros)
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
         spectrum.approximant_chain(0, 1.0)
     with pytest.raises(ValueError):
-        spectrum.approximant_chain(5, 1.0, root_tolerance=0.0)
+        spectrum.approximant_chain(spectrum.MAX_LEVEL + 1, 1.0)
     with pytest.raises(ValueError):
         spectrum.spectrum_cover(1.0, 0)
     with pytest.raises(ValueError):
