@@ -26,6 +26,7 @@ __all__ = [
     "SingularEigenData",
     "cone_member_3d",
     "expansion_certificate",
+    "expansion_certificates",
     "make_model_map",
     "sample_cone_vector_3d",
     "singular_eigen",
@@ -67,18 +68,33 @@ def singular_eigen() -> SingularEigenData:
     )
 
 
-def cone_member_3d(v, z_p: float, c2: float) -> bool:
+def cone_member_3d(v, z_p, c2: float) -> bool | np.ndarray:
     """Membership in the cone |v_z| >= C2 sqrt(|z_p|) |v_xy|.
 
     The boundary counts as inside: the defining inequality is non-strict.
+    Accepts (..., 3) vectors with matching (...) heights z_p.
     """
     if c2 <= 0.0:
         raise ValueError("C2 must be > 0")
     v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
+    if np.any(np.linalg.norm(v, axis=-1) == 0.0):
         raise ValueError("zero vector has no cone membership")
-    v_xy = np.linalg.norm(v[:2])
-    return bool(abs(v[2]) >= c2 * np.sqrt(abs(z_p)) * v_xy)
+    v_xy = np.linalg.norm(v[..., :2], axis=-1)
+    r = np.abs(v[..., 2]) >= c2 * np.sqrt(np.abs(z_p)) * v_xy
+    return bool(r) if np.ndim(r) == 0 else r
+
+
+#: the wave arguments (x + y, x - y, x), twice: the map's three waves
+#: sin a0, cos a1, sin a2 and their slopes cos a0, sin a1, cos a2 are
+#: the sines of these six arguments shifted by _WAVE_SHIFTS
+_WAVE_ARGS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+_WAVE_ARGS = np.vstack([_WAVE_ARGS, _WAVE_ARGS])
+_WAVE_SHIFTS = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) * (np.pi / 2.0)
+#: row i: gradient of wave i's argument, signed so that wave i's
+#: derivative is (its slope) * (this row)
+_WAVE_GRAD = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+#: d(z * wave)/dz: the waves themselves, in the z-column of Df
+_Z_COLUMN = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
@@ -88,7 +104,8 @@ class ModelMap:
     The off-linear terms all carry a factor of z, so the plane is
     exactly invariant; phases make distinct seeds give distinct maps.
     ``delta`` and ``c1`` are the audited bounds on ||Df - A|| and on the
-    second derivatives over the working box.
+    second derivatives over the working box.  Every method takes
+    (..., 3) arrays of points.
     """
 
     lam: float
@@ -100,46 +117,65 @@ class ModelMap:
     def linear(self) -> np.ndarray:
         return np.diag([1.0 / self.lam, 1.0, self.lam])
 
+    def _waves(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2).
+
+        a = (x + y, x - y, x) + phases.  The map adds (delta/8) z waves
+        to its linear part.
+        """
+        shifts = np.concatenate([self.phases, self.phases]) + _WAVE_SHIFTS
+        sines = np.sin(p @ _WAVE_ARGS.T + shifts)
+        return sines[..., :3], sines[..., 3:]
+
+    def _image(self, p: np.ndarray, waves: np.ndarray) -> np.ndarray:
+        scale = np.array([1.0 / self.lam, 1.0, self.lam])
+        return p * scale + (self.delta / 8.0) * p[..., 2:3] * waves
+
     def __call__(self, p) -> np.ndarray:
-        x, y, z = np.asarray(p, dtype=float)
-        s = self.delta / 8.0
-        f1 = x / self.lam + s * z * np.sin(x + y + self.phases[0])
-        f2 = y + s * z * np.cos(x - y + self.phases[1])
-        f3 = self.lam * z + s * z * np.sin(x + self.phases[2])
-        return np.array([f1, f2, f3])
+        p = np.asarray(p, dtype=float)
+        return self._image(p, self._waves(p)[0])
+
+    def _wave_differential(self, p: np.ndarray) -> np.ndarray:
+        """Df(p) - A: the differential of the (delta/8) z waves."""
+        waves, slopes = self._waves(p)
+        part = p[..., 2, None, None] * slopes[..., :, None] * _WAVE_GRAD
+        part += waves[..., :, None] * _Z_COLUMN
+        part *= self.delta / 8.0
+        return part
 
     def jacobian(self, p) -> np.ndarray:
-        x, y, z = np.asarray(p, dtype=float)
+        """Differential at p, shape (..., 3, 3)."""
+        p = np.asarray(p, dtype=float)
+        return self.linear + self._wave_differential(p)
+
+    def push(self, p, v) -> tuple[np.ndarray, np.ndarray]:
+        """f(p) and Df(p) v together, for (..., 3) points and vectors."""
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        waves, slopes = self._waves(p)
         s = self.delta / 8.0
-        c_xy = np.cos(x + y + self.phases[0])
-        s_xy = np.sin(x + y + self.phases[0])
-        s_xmy = np.sin(x - y + self.phases[1])
-        c_xmy = np.cos(x - y + self.phases[1])
-        s_x = np.sin(x + self.phases[2])
-        c_x = np.cos(x + self.phases[2])
-        return np.array(
-            [
-                [1.0 / self.lam + s * z * c_xy, s * z * c_xy, s * s_xy],
-                [-s * z * s_xmy, 1.0 + s * z * s_xmy, s * c_xmy],
-                [s * z * c_x, 0.0, self.lam + s * s_x],
-            ]
-        )
+        pushed = v * np.array([1.0 / self.lam, 1.0, self.lam])
+        pushed += (s * p[..., 2:3]) * slopes * (v @ _WAVE_GRAD.T)
+        pushed += s * waves * v[..., 2:3]
+        return self._image(p, waves), pushed
 
     def audit(self, box: float = 2.0, samples: int = 10000, rng=None) -> dict:
         """Sampled check of the three structural hypotheses."""
         rng = np.random.default_rng(rng)
         pts = rng.uniform(-box, box, size=(samples, 3))
         worst_df = 0.0
-        for p in pts:
-            dev = np.linalg.norm(self.jacobian(p) - self.linear, ord=2)
-            worst_df = max(worst_df, dev)
+        # blocks of ~1000 points bound the working memory
+        for block in np.array_split(pts, max(1, samples // 1000)):
+            dev = np.linalg.norm(
+                self._wave_differential(block), ord=2, axis=(-2, -1)
+            )
+            worst_df = max(worst_df, float(dev.max(initial=0.0)))
         # all second partials of the perturbation are bounded by
         # (delta/8) * (|z| + 2) on the box
         second = (self.delta / 8.0) * (box + 2.0)
-        plane_drift = max(
-            abs(self(np.array([x, y, 0.0]))[2])
-            for x, y in rng.uniform(-box, box, size=(64, 2))
-        )
+        xy = rng.uniform(-box, box, size=(64, 2))
+        plane = np.column_stack([xy, np.zeros(len(xy))])
+        plane_drift = float(np.max(np.abs(self(plane)[:, 2])))
         return {
             "df_deviation": worst_df,
             "df_ok": worst_df < self.delta or self.delta == 0.0,
@@ -211,6 +247,113 @@ def sample_cone_vector_3d(
     return v / np.linalg.norm(v)
 
 
+def expansion_certificates(
+    m: ModelMap,
+    P,
+    V,
+    c2: float = 1.0,
+    epsilon: float = 0.1,
+    eta: float = 0.5,
+    max_iter: int = 100000,
+) -> list[ExpansionReport]:
+    """Push cone vectors V at points P to their exit times, all together.
+
+    Row i's N is the first iterate whose z-coordinate exceeds 1.  Checks,
+    in the Euclidean norm: growth by lambda^((N/2)(1-4 eps)) at exit,
+    final tilt |u_xy| < 2 sqrt(delta) |u_z|, and, when the start already
+    has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
+    every intermediate step.  Only rows that have not exited are
+    stepped; a row still inside after ``max_iter`` steps is reported
+    inconclusive.
+    """
+    P = np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if P.ndim != 2 or P.shape[1] != 3 or V.shape != P.shape:
+        raise ValueError("start points and vectors must be matching (n, 3)")
+    if not np.all((P[:, 2] > 0.0) & (P[:, 2] < 1.0)):
+        raise ValueError("start point must have z in (0, 1)")
+    if not np.all(cone_member_3d(V, P[:, 2], c2)):
+        raise ValueError("start vector is outside the cone")
+    n = len(P)
+    v_xy0 = np.linalg.norm(V[:, :2], axis=-1)
+    rate = m.lam ** (0.5 * (1.0 - 4.0 * epsilon))
+    eta_start = np.abs(V[:, 2]) >= eta * v_xy0
+    exit_time = np.full(n, max_iter)
+    w_exit = np.zeros((n, 3))
+    g_exit = np.zeros(n)
+    dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
+    # growth ratios of the rows still stepping, one array per step
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    # the rows still stepping, and their points, vectors, starting
+    # norms and dips, compacted as rows exit
+    active = np.arange(n)
+    q, w = P, V
+    v0_norm = np.linalg.norm(V, axis=-1)
+    dip = np.zeros(n, dtype=bool)
+    for k in range(1, max_iter + 1):
+        if not len(active):
+            break
+        q, w = m.push(q, w)
+        g = np.linalg.norm(w, axis=-1) / v0_norm
+        steps.append((active, g))
+        dip |= g < 0.5 * eta * rate**k
+        out = q[:, 2] > 1.0
+        if out.any():
+            done = active[out]
+            exit_time[done] = k
+            w_exit[done] = w[out]
+            g_exit[done] = g[out]
+            dipped[done] = dip[out]
+            keep = ~out
+            active, q, w = active[keep], q[keep], w[keep]
+            v0_norm, dip = v0_norm[keep], dip[keep]
+    exited = np.ones(n, dtype=bool)
+    exited[active] = False
+    # row i stepped exit_time[i] times; lay its ratios out contiguously
+    starts = np.concatenate([[0], np.cumsum(exit_time)])
+    ratios = np.empty(starts[-1])
+    for k, (rows, g) in enumerate(steps):
+        ratios[starts[rows] + k] = g
+    per_row = np.split(ratios, starts[1:-1])
+    u_xy = np.linalg.norm(w_exit[:, :2], axis=-1)
+    u_z = np.abs(w_exit[:, 2])
+    reports = []
+    for i in range(n):
+        if not exited[i]:
+            reports.append(
+                ExpansionReport(
+                    exit_time=max_iter,
+                    status="inconclusive",
+                    growth_ratios=per_row[i],
+                    final_tilt=np.nan,
+                    expansion_at_exit_ok=False,
+                    thin_cone_ok=False,
+                    expansion_along_orbit_ok=None,
+                )
+            )
+            continue
+        k = int(exit_time[i])
+        reports.append(
+            ExpansionReport(
+                exit_time=k,
+                status="ok",
+                growth_ratios=per_row[i],
+                final_tilt=u_xy[i] / u_z[i] if u_z[i] > 0 else np.inf,
+                expansion_at_exit_ok=bool(g_exit[i] >= rate**k),
+                thin_cone_ok=bool(
+                    u_xy[i] < 2.0 * np.sqrt(m.delta) * u_z[i]
+                    if m.delta > 0.0
+                    # delta = 0: the xy-part cannot have grown at all
+                    else u_xy[i] <= v_xy0[i] * (1.0 + 1e-12)
+                ),
+                expansion_along_orbit_ok=(
+                    not dipped[i] if eta_start[i] else None
+                ),
+            )
+        )
+    return reports
+
+
 def expansion_certificate(
     m: ModelMap,
     p,
@@ -220,57 +363,9 @@ def expansion_certificate(
     eta: float = 0.5,
     max_iter: int = 100000,
 ) -> ExpansionReport:
-    """Push a cone vector to the exit time and test the expansion bounds.
-
-    N is the first iterate whose z-coordinate exceeds 1.  Checks, in the
-    Euclidean norm: growth by lambda^((N/2)(1-4 eps)) at exit, final
-    tilt |u_xy| < 2 sqrt(delta) |u_z|, and, when the start already has
-    |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
-    every intermediate step.
-    """
+    """One start point and cone vector; see ``expansion_certificates``."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not 0.0 < p[2] < 1.0:
-        raise ValueError("start point must have z in (0, 1)")
-    if not cone_member_3d(v, p[2], c2):
-        raise ValueError("start vector is outside the cone")
-    v0_norm = np.linalg.norm(v)
-    rate = m.lam ** (0.5 * (1.0 - 4.0 * epsilon))
-    eta_start = abs(v[2]) >= eta * np.linalg.norm(v[:2])
-    w = v.copy()
-    q = p.copy()
-    ratios = []
-    orbit_ok = True
-    for k in range(1, max_iter + 1):
-        w = m.jacobian(q) @ w
-        q = m(q)
-        g = np.linalg.norm(w) / v0_norm
-        ratios.append(g)
-        if eta_start and g < 0.5 * eta * rate**k:
-            orbit_ok = False
-        if q[2] > 1.0:
-            u_xy = np.linalg.norm(w[:2])
-            u_z = abs(w[2])
-            return ExpansionReport(
-                exit_time=k,
-                status="ok",
-                growth_ratios=np.array(ratios),
-                final_tilt=u_xy / u_z if u_z > 0 else np.inf,
-                expansion_at_exit_ok=bool(g >= rate**k),
-                thin_cone_ok=bool(
-                    u_xy < 2.0 * np.sqrt(m.delta) * u_z
-                    if m.delta > 0.0
-                    # delta = 0: the xy-part cannot have grown at all
-                    else u_xy <= np.linalg.norm(v[:2]) * (1.0 + 1e-12)
-                ),
-                expansion_along_orbit_ok=orbit_ok if eta_start else None,
-            )
-    return ExpansionReport(
-        exit_time=max_iter,
-        status="inconclusive",
-        growth_ratios=np.array(ratios),
-        final_tilt=np.nan,
-        expansion_at_exit_ok=False,
-        thin_cone_ok=False,
-        expansion_along_orbit_ok=None,
-    )
+    return expansion_certificates(
+        m, p[None, :], v[None, :], c2, epsilon, eta, max_iter
+    )[0]

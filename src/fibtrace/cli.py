@@ -198,12 +198,14 @@ def cmd_certify(cfg: dict, out: str, seed: int | None) -> int:
         run = recurrences.run_dD(params, N)
         schedules = _get_int(cfg, "slack_schedules", default=100, minimum=0)
         aa_pass = 0
+        ref = None  # the exact run from the schedules' shared start A_0
         for _ in range(schedules):
             slack = np.column_stack(
                 [rng.uniform(0.0, 0.3, N), rng.uniform(0.0, 0.2, N)]
             )
             r = recurrences.run_aA(params, N, slack_schedule=slack)
-            ref = recurrences.run_dD(params, N, D0=r.large[0])
+            if ref is None or ref.large[0] != r.large[0]:
+                ref = recurrences.run_dD(params, N, D0=r.large[0])
             if r.passed and recurrences.dominates(r, ref):
                 aa_pass += 1
         payload["report"] = {
@@ -225,17 +227,14 @@ def cmd_certify(cfg: dict, out: str, seed: int | None) -> int:
         m = cert.make_model_map(
             delta=delta, seed=None if seed is None else seed + 1
         )
-        passed = 0
-        inconclusive = 0
+        points, vectors = [], []
         for _ in range(n_vectors):
             zp = cert.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-            p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-            v = cert.sample_cone_vector_3d(zp, 1.0, rng)
-            rep = cert.expansion_certificate(m, p, v)
-            if rep.status == "inconclusive":
-                inconclusive += 1
-            elif rep.all_ok:
-                passed += 1
+            points.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
+            vectors.append(cert.sample_cone_vector_3d(zp, 1.0, rng))
+        reps = cert.expansion_certificates(m, points, vectors)
+        inconclusive = sum(rep.status == "inconclusive" for rep in reps)
+        passed = sum(rep.all_ok for rep in reps)
         payload["report"] = {
             "kind": "model",
             "delta": _fmt(delta),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import torus
 from .certify import singular_eigen
-from .tracemap import fricke, singular_points, trace_step, trace_step_inv
+from .tracemap import singular_points, trace_step, trace_step_inv
 
 __all__ = ["EmpiricalReport", "empirical_trace_certificate", "sample_bounded_points"]
 
@@ -25,14 +25,15 @@ MU = torus.MU
 
 
 def trace_jacobian(p) -> np.ndarray:
-    x, y, _ = np.asarray(p, dtype=float)
-    return np.array(
-        [
-            [2.0 * y, 2.0 * x, -1.0],
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-        ]
-    )
+    """Differential of the trace map; a (..., 3) array gives (..., 3, 3)."""
+    p = np.asarray(p, dtype=float)
+    jac = np.zeros(p.shape + (3,))
+    jac[..., 0, 0] = 2.0 * p[..., 1]
+    jac[..., 0, 1] = 2.0 * p[..., 0]
+    jac[..., 0, 2] = -1.0
+    jac[..., 1, 0] = 1.0
+    jac[..., 2, 1] = 1.0
+    return jac
 
 
 def sample_bounded_points(
@@ -87,27 +88,57 @@ def sample_bounded_points(
 
 
 def _unstable_frame(p) -> tuple[np.ndarray, np.ndarray]:
-    """Pushed-forward unstable/stable directions at the V=0 shadow of p."""
+    """Pushed-forward unstable/stable directions at the V=0 shadows of p.
+
+    Accepts a (..., 3) array of points; both directions come back with
+    the same shape.
+    """
     t = torus.invert_semiconj(p)
     jac = torus.df_semiconj(t)
     e = torus.eigen_data()
     return jac @ e.v_u, jac @ e.v_s
 
 
-def _project_tangent(v, p, coupling: float) -> np.ndarray:
-    """Remove the component of v normal to the invariant surface at p."""
-    x, y, z = p
-    grad = np.array(
+def _project_tangent(v, p) -> np.ndarray:
+    """Remove from each v its component normal to the surface through p.
+
+    Rows whose surface gradient (nearly) vanishes keep v unchanged.
+    """
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    grad = np.stack(
         [
             2.0 * x - 2.0 * y * z,
             2.0 * y - 2.0 * x * z,
             2.0 * z - 2.0 * x * y,
-        ]
+        ],
+        axis=-1,
     )
-    g2 = grad @ grad
-    if g2 < 1e-14:
-        return v
-    return v - (v @ grad) / g2 * grad
+    g2 = np.sum(grad * grad, axis=-1)
+    flat = g2 < 1e-14
+    scale = np.sum(v * grad, axis=-1) / np.where(flat, 1.0, g2)
+    return v - np.where(flat, 0.0, scale)[..., None] * grad
+
+
+def _frame_coefficients(e_u, e_s, w) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of each w on the basis (e_u, e_s).
+
+    Solves the 2x2 normal equations in closed form.  Where the Gram
+    determinant is 0 the basis has rank <= 1 (it vanishes where the
+    semiconjugacy's differential does), and the minimum-norm solution
+    B^T w / ||B||_F^2, or 0 for B = 0, is returned, as lstsq would.
+    """
+    a = np.sum(e_u * e_u, axis=-1)
+    b = np.sum(e_u * e_s, axis=-1)
+    c = np.sum(e_s * e_s, axis=-1)
+    r_u = np.sum(e_u * w, axis=-1)
+    r_s = np.sum(e_s * w, axis=-1)
+    det = a * c - b * b
+    full = det > 0.0
+    trace = a + c
+    den = np.where(full, det, np.where(trace > 0.0, trace, 1.0))
+    coef_u = np.where(full, c * r_u - b * r_s, r_u) / den
+    coef_s = np.where(full, a * r_s - b * r_u, r_s) / den
+    return coef_u, coef_s
 
 
 @dataclass
@@ -134,10 +165,13 @@ class EmpiricalReport:
         )
 
 
-def _eigenframe_distance(p, inv_frame: np.ndarray) -> float:
-    """Distance to the nearest singular point, in the eigenbasis frame."""
-    deltas = p[None, :] - singular_points()
-    return float(np.min(np.linalg.norm(deltas @ inv_frame.T, axis=-1)))
+def _eigenframe_distance(p, inv_frame: np.ndarray) -> np.ndarray:
+    """Distance to the nearest singular point, in the eigenbasis frame.
+
+    Accepts a (..., 3) array of points and returns a (...) array.
+    """
+    deltas = p[..., None, :] - singular_points()
+    return np.min(np.linalg.norm(deltas @ inv_frame.T, axis=-1), axis=-1)
 
 
 def empirical_trace_certificate(
@@ -158,7 +192,7 @@ def empirical_trace_certificate(
     tested at every step whose orbit point lies outside the declared
     singular neighborhoods (measured in the eigenframe of the singular
     differential); the expansion ratio compares the final stretch with
-    mu^(n(1-4 eps)).
+    mu^(n(1-4 eps)).  All samples advance together as (n, 3) arrays.
     """
     if not 0.0 < coupling <= 0.5:
         raise ValueError("empirical certificate expects 0 < V <= 0.5")
@@ -171,63 +205,58 @@ def empirical_trace_certificate(
     frame = singular_eigen().eigenvectors
     inv_frame = np.linalg.inv(frame)
     target = MU ** (n_forward * (1.0 - 4.0 * epsilon))
-    ratios = []
+    n = len(pts)
+    # the carried vector v is dropped inside every singular neighborhood
+    # and re-seeded on exit, mirroring how the orbit is split into
+    # segments between near-singular passages; v_total is transported
+    # over the whole window from the first seeding, for the ratio
+    v = np.zeros((n, 3))
+    v_total = np.zeros((n, 3))
+    has_v = np.zeros(n, dtype=bool)
+    has_total = np.zeros(n, dtype=bool)
+    checked = np.zeros(n, dtype=bool)
     cone_checks = 0
     cone_hits = 0
-    inconclusive = 0
-    for p in pts:
-        # the carried vector is reset at every singular-neighborhood
-        # exit, mirroring how the orbit is split into segments between
-        # near-singular passages
-        q = p.copy()
-        v = None
-        v_total = None  # transported over the whole window, for the ratio
-        checked = False
-        for _ in range(n_forward):
-            dist = _eigenframe_distance(q, inv_frame)
-            if dist >= singular_radius and v is None:
-                e_u, _ = _unstable_frame(q)
-                w0 = _project_tangent(e_u, q, coupling)
-                n0 = np.linalg.norm(w0)
-                if n0 > 1e-10:
-                    v = w0 / n0
-                    if v_total is None:
-                        v_total = v.copy()
-            elif dist < singular_radius:
-                v = None
-            jac = trace_jacobian(q)
-            if v is not None:
-                v = jac @ v
-            if v_total is not None:
-                v_total = jac @ v_total
-            q = trace_step(q)
-            if v is None:
-                continue
-            if _eigenframe_distance(q, inv_frame) < singular_radius:
-                continue
-            e_u2, e_s2 = _unstable_frame(q)
-            w = _project_tangent(v, q, coupling)
-            basis = np.column_stack([e_u2, e_s2])
-            coef, *_ = np.linalg.lstsq(basis, w, rcond=None)
-            cone_checks += 1
-            checked = True
-            if abs(coef[0]) > abs(coef[1]) / zeta:
-                cone_hits += 1
-        if v_total is None or not checked:
-            inconclusive += 1
-            continue
-        g = np.linalg.norm(v_total)
-        if not np.isfinite(g) or g == 0.0:
-            inconclusive += 1
-            continue
-        ratios.append(g / target)
-    ratios = np.array(ratios)
+    q = pts.copy()
+    far = _eigenframe_distance(q, inv_frame) >= singular_radius
+    for _ in range(n_forward):
+        seed = np.flatnonzero(far & ~has_v)
+        if len(seed):
+            q_seed = q[seed]
+            w0 = _project_tangent(_unstable_frame(q_seed)[0], q_seed)
+            n0 = np.linalg.norm(w0, axis=-1)
+            good = n0 > 1e-10
+            seed = seed[good]
+            v[seed] = w0[good] / n0[good, None]
+            has_v[seed] = True
+            first = seed[~has_total[seed]]
+            v_total[first] = v[first]
+            has_total[first] = True
+        has_v &= far
+        v[~has_v] = 0.0
+        jac = trace_jacobian(q)
+        v = np.einsum("nij,nj->ni", jac, v)
+        v_total = np.einsum("nij,nj->ni", jac, v_total)
+        q = trace_step(q)
+        far = _eigenframe_distance(q, inv_frame) >= singular_radius
+        check = np.flatnonzero(has_v & far)
+        if len(check):
+            q_check = q[check]
+            w = _project_tangent(v[check], q_check)
+            coef_u, coef_s = _frame_coefficients(*_unstable_frame(q_check), w)
+            cone_checks += len(check)
+            hit = np.abs(coef_u) > np.abs(coef_s) / zeta
+            cone_hits += int(np.count_nonzero(hit))
+            checked[check] = True
+    g = np.linalg.norm(v_total, axis=-1)
+    used = has_total & checked & np.isfinite(g) & (g != 0.0)
+    ratios = g[used] / target
     return EmpiricalReport(
         coupling=coupling,
         n_steps=n_forward,
-        samples_total=len(pts),
+        samples_total=n,
         samples_used=len(ratios),
-        inconclusive=inconclusive,
+        inconclusive=n - len(ratios),
         min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
         cone_checks=cone_checks,
         cone_hits=cone_hits,

@@ -250,14 +250,17 @@ def spectrum_cover(
     """
     if k < 1:
         raise ValueError("approximant index must be >= 1")
-    chain = approximant_chain(k + 1, coupling)
+    if k + 1 > MAX_LEVEL:
+        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL}")
+    levels = [_level_bands(j, float(coupling)) for j in (k, k + 1)]
     if coupling > 0:
-        for j in (k, k + 1):
-            if len(chain[j - 1]) != fibonacci(j):
+        for bands in levels:
+            j = bands.generation
+            if len(bands) != fibonacci(j):
                 raise ValueError(
-                    f"level {j} resolves {len(chain[j - 1])} of "
+                    f"level {j} resolves {len(bands)} of "
                     f"F_{j} = {fibonacci(j)} bands at V = {coupling:g}"
                 )
-    cover = chain[k - 1].union(chain[k], gap_tol=resolution)
+    cover = levels[0].union(levels[1], gap_tol=resolution)
     cover.generation = k
     return cover

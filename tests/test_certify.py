@@ -86,3 +86,93 @@ def test_sampled_cone_vectors_are_members():
         v = certify.sample_cone_vector_3d(zp, 1.0, rng)
         assert certify.cone_member_3d(v, zp, 1.0)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def _cone_batch(rng, n, n0=200):
+    P, V = [], []
+    for _ in range(n):
+        zp = certify.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
+        P.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
+        V.append(certify.sample_cone_vector_3d(zp, 1.0, rng))
+    return np.array(P), np.array(V)
+
+
+def test_batched_certificates_match_one_row_calls():
+    m = certify.make_model_map(delta=1e-3, seed=4)
+    P, V = _cone_batch(np.random.default_rng(20), 64)
+    batch = certify.expansion_certificates(m, P, V)
+    assert len(batch) == 64
+    for p, v, got in zip(P, V, batch):
+        one = certify.expansion_certificate(m, p, v)
+        assert got.exit_time == one.exit_time
+        assert got.status == one.status
+        assert got.expansion_at_exit_ok == one.expansion_at_exit_ok
+        assert got.thin_cone_ok == one.thin_cone_ok
+        assert got.expansion_along_orbit_ok == one.expansion_along_orbit_ok
+        assert len(got.growth_ratios) == got.exit_time
+        assert np.allclose(got.growth_ratios, one.growth_ratios)
+
+
+def test_batch_reports_inconclusive_only_for_the_slow_row():
+    m = certify.make_model_map(delta=1e-3, seed=5)
+    zs = certify.LAMBDA_BIG ** -np.array([10.5, 60.5, 12.5])
+    P = np.column_stack([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5], zs])
+    V = np.tile([0.0, 0.0, 1.0], (3, 1))
+    reps = certify.expansion_certificates(m, P, V, max_iter=30)
+    assert [r.status for r in reps] == ["ok", "inconclusive", "ok"]
+    assert reps[1].exit_time == 30 and len(reps[1].growth_ratios) == 30
+    assert not reps[1].all_ok
+    assert reps[0].all_ok and reps[2].all_ok
+    assert reps[0].exit_time < reps[2].exit_time < 30
+
+
+def test_batch_with_one_invalid_row_raises():
+    m = certify.make_model_map(delta=1e-3, seed=6)
+    P, V = _cone_batch(np.random.default_rng(21), 4)
+    bad_z = P.copy()
+    bad_z[2, 2] = 1.5
+    with pytest.raises(ValueError, match="z in"):
+        certify.expansion_certificates(m, bad_z, V)
+    bad_v = V.copy()
+    bad_v[1] = [1.0, 0.0, 1e-300]
+    with pytest.raises(ValueError, match="outside the cone"):
+        certify.expansion_certificates(m, P, bad_v)
+
+
+def test_model_map_audit_value_is_pinned():
+    # the figure of the earlier point-by-point audit
+    m = certify.make_model_map(delta=1e-3, seed=0)
+    dev = m.audit(samples=2000, rng=1)["df_deviation"]
+    assert dev == pytest.approx(0.0004083036591343811, rel=1e-12)
+
+
+def test_model_map_accepts_point_arrays():
+    m = certify.make_model_map(delta=1e-2, seed=7)
+    pts = np.random.default_rng(22).uniform(-1, 1, size=(5, 3))
+    assert m(pts[0]).shape == (3,) and m.jacobian(pts[0]).shape == (3, 3)
+    images, jacs = m(pts), m.jacobian(pts)
+    h = 1e-6
+    for p, image, jac in zip(pts, images, jacs):
+        assert np.array_equal(image, m(p))
+        assert np.array_equal(jac, m.jacobian(p))
+        fd = np.column_stack(
+            [(m(p + h * e) - m(p - h * e)) / (2 * h) for e in np.eye(3)]
+        )
+        assert np.allclose(jac, fd, atol=1e-8)
+    v = np.random.default_rng(23).normal(size=(5, 3))
+    pushed_p, pushed_v = m.push(pts, v)
+    assert np.allclose(pushed_p, images, rtol=1e-15, atol=0)
+    assert np.allclose(pushed_v, np.einsum("nij,nj->ni", jacs, v))
+
+
+def test_batch_orbit_growth_flags_are_per_row():
+    # linear map, growth exactly lambda^k against a demanded
+    # (eta/2) lambda^(1.1 k): the bound fails from step 15 on
+    m = certify.ModelMap(lam=certify.LAMBDA_BIG, delta=0.0, c1=1.0)
+    zs = certify.LAMBDA_BIG ** -np.array([9.5, 29.5, 29.5])
+    P = np.column_stack([[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], zs])
+    V = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.1]])
+    reps = certify.expansion_certificates(m, P, V, epsilon=-0.3)
+    assert [r.exit_time for r in reps] == [10, 30, 30]
+    # exits before the dip; dips; starts outside the eta-cone
+    assert [r.expansion_along_orbit_ok for r in reps] == [True, False, None]

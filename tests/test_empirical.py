@@ -60,3 +60,62 @@ def test_certificate_is_deterministic_given_seed():
     assert a.min_expansion_ratio == b.min_expansion_ratio
     assert a.cone_checks == b.cone_checks
     assert np.array_equal(a.per_sample_ratios, b.per_sample_ratios)
+
+
+@pytest.mark.parametrize(
+    "kw, counts, min_ratio",
+    [
+        (
+            dict(sample_size=400, singular_radius=0.2, rng=12),
+            (400, 0, 10784, 10784),
+            36.361031988407746,
+        ),
+        # has cone misses
+        (
+            dict(sample_size=200, n_forward=20, rng=15),
+            (200, 0, 3913, 3890),
+            2.625141511856985,
+        ),
+        # short window, wide radius: inconclusive samples and resets
+        (
+            dict(sample_size=200, n_forward=3, singular_radius=0.6, rng=5),
+            (200, 23, 418, 418),
+            0.4463398829418822,
+        ),
+    ],
+)
+def test_certificate_statistics_are_pinned(kw, counts, min_ratio):
+    # figures of the earlier one-sample-at-a-time engine
+    rep = empirical.empirical_trace_certificate(0.05, **kw)
+    got = (rep.samples_total, rep.inconclusive, rep.cone_checks, rep.cone_hits)
+    assert got == counts
+    assert rep.min_expansion_ratio == pytest.approx(min_ratio, rel=1e-12)
+
+
+def test_frame_coefficients_match_lstsq():
+    rng = np.random.default_rng(18)
+    bases = list(rng.normal(size=(20, 3, 2)))
+    bases.append(np.zeros((3, 2)))  # vanishing differential
+    col = rng.normal(size=3)
+    bases.append(np.column_stack([col, -2.0 * col]))  # rank 1
+    bases = np.array(bases)
+    w = rng.normal(size=(len(bases), 3))
+    with np.errstate(all="raise"):
+        cu, cs = empirical._frame_coefficients(bases[..., 0], bases[..., 1], w)
+    for i, basis in enumerate(bases):
+        ref, *_ = np.linalg.lstsq(basis, w[i], rcond=None)
+        assert np.allclose([cu[i], cs[i]], ref, rtol=1e-10, atol=1e-12)
+
+
+def test_batched_helpers_match_single_points():
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(-1, 1, size=(8, 3))
+    vecs = rng.normal(size=(8, 3))
+    jac = empirical.trace_jacobian(pts)
+    proj = empirical._project_tangent(vecs, pts)
+    e_u, e_s = empirical._unstable_frame(pts)
+    for i, p in enumerate(pts):
+        assert np.array_equal(jac[i], empirical.trace_jacobian(p))
+        assert np.allclose(proj[i], empirical._project_tangent(vecs[i], p))
+        u, s = empirical._unstable_frame(p)
+        assert np.allclose(e_u[i], u) and np.allclose(e_s[i], s)
