@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intervals import BandSet
 
 __all__ = [
@@ -49,32 +51,22 @@ def box_count(b: BandSet, eps: float) -> int:
         raise ValueError("eps must be > 0")
     if not b:
         raise ValueError("empty band set has no box count")
-    ranges = []
-    for lo, hi in b.intervals:
-        if hi > lo:
-            # open-overlap convention: box j counts iff j*eps < hi and
-            # (j+1)*eps > lo
-            j0 = math.floor(lo / eps)
-            if (j0 + 1) * eps <= lo:
-                j0 += 1
-            j1 = math.ceil(hi / eps) - 1
-            if j1 * eps >= hi:
-                j1 -= 1
-            j1 = max(j1, j0)
-        else:
-            j0 = j1 = math.floor(lo / eps)
-        ranges.append((j0, j1))
-    ranges.sort()
-    total = 0
-    cur_lo, cur_hi = ranges[0]
-    for j0, j1 in ranges[1:]:
-        if j0 <= cur_hi + 0:
-            cur_hi = max(cur_hi, j1)
-        else:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = j0, j1
-    total += cur_hi - cur_lo + 1
-    return total
+    lo, hi = b.intervals.T
+    # open-overlap convention: box j counts iff j*eps < hi and
+    # (j+1)*eps > lo; a zero-width band counts the box holding it
+    base = np.floor(lo / eps)
+    j0 = np.where((base + 1) * eps <= lo, base + 1, base)
+    j1 = np.ceil(hi / eps) - 1
+    j1 = np.maximum(np.where(j1 * eps >= hi, j1 - 1, j1), j0)
+    point = hi <= lo
+    j0 = np.where(point, base, j0).astype(np.int64)
+    j1 = np.where(point, base, j1).astype(np.int64)
+    # count the union of the box ranges: after sorting by j0, each range
+    # adds only the boxes past the furthest box of the ranges before it
+    order = np.argsort(j0, kind="stable")
+    j0, j1 = j0[order], j1[order]
+    reach = np.maximum.accumulate(np.r_[j0[0] - 1, j1[:-1]])
+    return int(np.maximum(j1 - np.maximum(j0, reach + 1) + 1, 0).sum())
 
 
 def geometric_scales(
@@ -212,12 +204,8 @@ def cantor_bands(ratio: float, depth: int, maps: int = 2) -> BandSet:
         raise ValueError("ratio must be in (0, 1/maps)")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    offsets = [i * (1.0 - ratio) / (maps - 1) for i in range(maps)]
-    intervals = [(0.0, 1.0)]
+    offsets = np.array([i * (1.0 - ratio) / (maps - 1) for i in range(maps)])
+    intervals = np.array([[0.0, 1.0]])
     for _ in range(depth):
-        intervals = [
-            (off + ratio * lo, off + ratio * hi)
-            for off in offsets
-            for lo, hi in intervals
-        ]
+        intervals = (offsets[:, None, None] + ratio * intervals).reshape(-1, 2)
     return BandSet(intervals, generation=depth)

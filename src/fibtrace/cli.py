@@ -3,8 +3,9 @@
 Commands: spectrum, dimension, certify, mesh, subshift.  Parameters live
 in an INI-style config file (section [run]) and can be overridden with
 repeated ``--set key=value`` flags; ``--seed`` fixes all randomness so a
-rerun produces byte-identical output files.  Every output embeds the
-fully resolved configuration and the toolkit version.
+rerun produces byte-identical output files.  Every output records the
+configuration keys that were given, the seed and the toolkit version;
+defaults that were not given are not written out.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
 error, 3 runtime numeric failure.
@@ -98,7 +99,7 @@ def _meta(cfg: dict, seed: int | None) -> dict:
 def _bands_to_rows(bands) -> list[dict]:
     return [
         {"lo": _fmt(lo), "hi": _fmt(hi), "generation": bands.generation}
-        for lo, hi in bands.intervals
+        for lo, hi in bands.intervals.tolist()
     ]
 
 
@@ -121,7 +122,7 @@ def cmd_spectrum(cfg: dict, out: str, seed: int | None) -> int:
     _write_json(out, payload)
     with open(out + ".csv", "w") as fh:
         fh.write("lo,hi,generation\n")
-        for lo, hi in cover.intervals:
+        for lo, hi in cover.intervals.tolist():
             fh.write(f"{_fmt(lo)},{_fmt(hi)},{cover.generation}\n")
     return 0
 
@@ -142,7 +143,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int | None) -> int:
         V = _get_float(cfg, "coupling", minimum=0.0)
         k = _get_level(cfg, minimum=2)
         cover = spectrum.spectrum_cover(
-            V, k, _get_float(cfg, "resolution", default=1e-7)
+            V, k, _get_float(cfg, "resolution", default=1e-7, minimum=0.0)
         )
         est = boxdim.box_dimension(cover, boxdim.auto_scale_grid(cover))
         payload["estimate"] = _estimate_payload(est)

@@ -66,22 +66,19 @@ def sample_bounded_points(
         ]
     )
     # drop candidates at the singular vertices themselves
-    sing = singular_points()
-    d = np.min(
-        np.linalg.norm(cand[:, None, :] - sing[None, :, :], axis=-1), axis=1
-    )
-    cand = cand[d > 1e-6]
-    bounded = np.ones(len(cand), dtype=bool)
+    for s in singular_points():
+        cand = cand[np.linalg.norm(cand - s, axis=-1) > 1e-6]
+    # step only the rows still bounded, so ruled-out rows cannot overflow
+    live = np.arange(len(cand))
     for stepper in (trace_step, trace_step_inv):
-        q = cand.copy()
+        q = cand[live]
         for _ in range(n_forward):
-            # freeze rows already ruled out so they cannot overflow
-            q[~bounded] = 0.0
             q = stepper(q)
-            bounded &= np.linalg.norm(q, axis=-1) <= norm_cap
-        if not bounded.any():
+            ok = np.linalg.norm(q, axis=-1) <= norm_cap
+            q, live = q.compress(ok, axis=0), live[ok]
+        if not len(live):
             break
-    pts = cand[bounded]
+    pts = cand[live]
     if len(pts) > n_samples:
         pts = pts[rng.choice(len(pts), size=n_samples, replace=False)]
     return pts

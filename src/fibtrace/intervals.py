@@ -9,30 +9,41 @@ import numpy as np
 __all__ = ["BandSet", "merge_intervals"]
 
 
-def merge_intervals(intervals, gap_tol: float = 0.0) -> list[tuple[float, float]]:
-    """Sort intervals and merge overlaps and gaps narrower than ``gap_tol``."""
-    ivs = sorted((float(lo), float(hi)) for lo, hi in intervals)
-    merged: list[list[float]] = []
-    for lo, hi in ivs:
-        if hi < lo:
-            raise ValueError(f"interval has hi < lo: ({lo}, {hi})")
-        if merged and lo <= merged[-1][1] + gap_tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+def merge_intervals(intervals, gap_tol: float = 0.0) -> np.ndarray:
+    """Sort intervals and merge overlaps and gaps narrower than ``gap_tol``.
+
+    Takes any sequence of (lo, hi) pairs and returns the merged bands as
+    a sorted (n, 2) float array.
+    """
+    if not gap_tol >= 0:
+        raise ValueError("gap_tol must be >= 0")
+    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    ivs = ivs[np.argsort(ivs[:, 0], kind="stable")]
+    inverted = ivs[:, 1] < ivs[:, 0]
+    if inverted.any():
+        lo, hi = ivs[inverted][0]
+        raise ValueError(f"interval has hi < lo: ({lo}, {hi})")
+    if not len(ivs):
+        return ivs
+    # a band starts wherever lo clears everything before it by more than
+    # gap_tol; with gap_tol >= 0 the running max of hi is the reach of the
+    # band being built
+    reach = np.maximum.accumulate(ivs[:, 1])
+    starts = np.flatnonzero(np.r_[True, ivs[1:, 0] > reach[:-1] + gap_tol])
+    return np.column_stack([ivs[starts, 0], np.maximum.reduceat(ivs[:, 1], starts)])
 
 
 @dataclass
 class BandSet:
     """Ordered disjoint closed intervals, e.g. a spectral approximant.
 
-    ``generation`` records the approximant index or refinement depth the
-    set came from; it is carried through serialization but not used in
-    set arithmetic.
+    ``intervals`` takes any sequence of (lo, hi) pairs and holds them as a
+    sorted (n, 2) float array.  ``generation`` records the approximant
+    index or refinement depth the set came from; it is carried through
+    serialization but not used in set arithmetic.
     """
 
-    intervals: list[tuple[float, float]] = field(default_factory=list)
+    intervals: np.ndarray = field(default_factory=list)
     generation: int = 0
 
     def __post_init__(self):
@@ -42,18 +53,23 @@ class BandSet:
         return len(self.intervals)
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return len(self.intervals) > 0
+
+    @property
+    def _widths(self) -> np.ndarray:
+        return self.intervals[:, 1] - self.intervals[:, 0]
 
     @property
     def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
+        # summed left to right like the builtin, not pairwise like np.sum
+        return float(sum(self._widths.tolist()))
 
     @property
     def min_width(self) -> float:
         """Width of the narrowest band (the set's native resolution)."""
-        if not self.intervals:
+        if not self:
             raise ValueError("empty band set has no bands")
-        return float(min(hi - lo for lo, hi in self.intervals))
+        return float(self._widths.min())
 
     @property
     def native_resolution(self) -> float:
@@ -62,24 +78,25 @@ class BandSet:
         unresolved and box counts drift toward slope 1.  A single
         interval is exact and reports 0.
         """
-        if not self.intervals:
+        if not self:
             raise ValueError("empty band set has no resolution")
-        if len(self.intervals) == 1:
+        if len(self) == 1:
             return 0.0
-        return float(max(hi - lo for lo, hi in self.intervals))
+        return float(self._widths.max())
 
     @property
     def extent(self) -> tuple[float, float]:
-        if not self.intervals:
+        if not self:
             raise ValueError("empty band set has no extent")
-        return self.intervals[0][0], self.intervals[-1][1]
+        return float(self.intervals[0, 0]), float(self.intervals[-1, 1])
 
     def contains(self, e: float, slack: float = 0.0) -> bool:
-        return any(lo - slack <= e <= hi + slack for lo, hi in self.intervals)
+        lo, hi = self.intervals.T
+        return bool(np.any((lo - slack <= e) & (e <= hi + slack)))
 
     def union(self, other: "BandSet", gap_tol: float = 0.0) -> "BandSet":
         return BandSet(
-            merge_intervals(self.intervals + other.intervals, gap_tol),
+            merge_intervals(np.concatenate([self.intervals, other.intervals]), gap_tol),
             generation=max(self.generation, other.generation),
         )
 
@@ -87,25 +104,9 @@ class BandSet:
         """Restriction to the closed window [lo, hi]."""
         if hi < lo:
             raise ValueError("window has hi < lo")
-        clipped = [
-            (max(a, lo), min(b, hi))
-            for a, b in self.intervals
-            if b >= lo and a <= hi
-        ]
+        a, b = self.intervals.T
+        clipped = np.clip(self.intervals[(b >= lo) & (a <= hi)], lo, hi)
         return BandSet(clipped, generation=self.generation)
 
-    def merged(self, gap_tol: float) -> "BandSet":
-        return BandSet(
-            merge_intervals(self.intervals, gap_tol), generation=self.generation
-        )
-
-    def sample_points(self, step: float) -> np.ndarray:
-        """Grid points with spacing <= step covering every band."""
-        pts = []
-        for lo, hi in self.intervals:
-            n = max(2, int(np.ceil((hi - lo) / step)) + 1)
-            pts.append(np.linspace(lo, hi, n))
-        return np.concatenate(pts) if pts else np.empty(0)
-
     def as_array(self) -> np.ndarray:
-        return np.array(self.intervals, dtype=float).reshape(-1, 2)
+        return self.intervals.copy()

@@ -229,7 +229,7 @@ def _level_bands(j: int, coupling: float) -> BandSet:
         g[-1, 0] += corner
         edges.append(np.linalg.eigvalsh(g))
     edges = np.sort(np.concatenate(edges)).reshape(-1, 2)
-    return BandSet(edges.tolist(), generation=j)
+    return BandSet(edges, generation=j)
 
 
 def approximant_chain(k: int, coupling: float) -> list[BandSet]:

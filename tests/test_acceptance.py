@@ -147,14 +147,15 @@ def test_criterion_07_model_map_suite():
     rng = np.random.default_rng(107)
     m = certify.make_model_map(delta=1e-3, seed=1070)
     n0 = 200
-    passed = 0
+    points, vectors = [], []
     for _ in range(1000):
         zp = certify.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-        p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-        v = certify.sample_cone_vector_3d(zp, 1.0, rng)
-        rep = certify.expansion_certificate(m, p, v)
-        if rep.status == "ok" and rep.all_ok and rep.exit_time >= n0:
-            passed += 1
+        points.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
+        vectors.append(certify.sample_cone_vector_3d(zp, 1.0, rng))
+    passed = sum(
+        rep.status == "ok" and rep.all_ok and rep.exit_time >= n0
+        for rep in certify.expansion_certificates(m, points, vectors)
+    )
     ok = ok and passed == 1000 and time.perf_counter() - t0 < 30.0
     report(7, "model-map expansion certificates", ok, t0,
            f"{passed}/1000 perturbed vectors passed")

@@ -2,9 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibtrace import boxdim
 from fibtrace.intervals import BandSet
+
+
+def _boxes_reference(b: BandSet, eps: float) -> int:
+    """Enumerate the boxes each band meets and count the distinct ones."""
+    boxes = set()
+    for lo, hi in b.intervals.tolist():
+        if hi > lo:
+            boxes.update(
+                j
+                for j in range(math.floor(lo / eps) - 2, math.ceil(hi / eps) + 2)
+                if j * eps < hi and (j + 1) * eps > lo
+            )
+        else:
+            boxes.add(math.floor(lo / eps))
+    return len(boxes)
+
+
+# an endpoint (k + q/4) * eps: on a grid line when q = 0, otherwise a
+# quarter or more of a box away from one
+_grid_point = st.tuples(st.integers(-40, 40), st.integers(0, 3))
 
 
 def test_box_count_conventions():
@@ -20,6 +42,21 @@ def test_box_count_conventions():
 def test_box_count_merges_shared_boxes():
     b = BandSet([(0.01, 0.02), (0.08, 0.09)])  # both inside box 0
     assert boxdim.box_count(b, 0.1) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    eps=st.floats(1e-3, 10.0),
+    cells=st.lists(
+        st.tuples(_grid_point, _grid_point).map(sorted), min_size=1, max_size=30
+    ),
+)
+def test_box_count_matches_enumeration(eps, cells):
+    b = BandSet(
+        [((k0 + q0 / 4) * eps, (k1 + q1 / 4) * eps) for (k0, q0), (k1, q1) in cells]
+    )
+    count = boxdim.box_count(b, eps)
+    assert type(count) is int and count == _boxes_reference(b, eps)
 
 
 def test_box_count_rejects_bad_input():

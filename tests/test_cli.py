@@ -49,6 +49,15 @@ def test_negative_coupling_exits_2_naming_field(tmp_path):
     assert "coupling" in r.stderr
 
 
+def test_negative_dimension_resolution_exits_2_naming_field(tmp_path):
+    r = run_cli(
+        "dimension", "--out", str(tmp_path / "x.json"), "--set", "mode=spectrum",
+        "--set", "coupling=2", "--set", "resolution=-1e-9",
+    )
+    assert r.returncode == 2
+    assert "resolution" in r.stderr
+
+
 def test_level_past_the_cap_exits_2_naming_k(tmp_path):
     from fibtrace.spectrum import MAX_LEVEL
 
