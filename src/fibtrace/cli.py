@@ -3,7 +3,8 @@
 Commands: spectrum, dimension, certify, mesh, subshift.  Parameters live
 in an INI-style config file (section [run]) and can be overridden with
 repeated ``--set key=value`` flags; ``--seed`` fixes all randomness so a
-rerun produces byte-identical output files.  Every output records the
+rerun produces byte-identical output files, and a ``seed`` config key is
+refused.  Numeric fields must be finite.  Every output records the
 configuration keys that were given, the seed and the toolkit version;
 defaults that were not given are not written out.
 
@@ -52,17 +53,26 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} is not key=value")
         key, _, val = item.partition("=")
         cfg[key.strip()] = val.strip()
+    if "seed" in cfg:
+        raise ConfigError("seed: not a config key; pass --seed instead")
     return cfg
+
+
+def _to_float(key: str, raw) -> float:
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    if not np.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return val
 
 
 def _get_float(cfg: dict, key: str, default=None, minimum=None) -> float:
     raw = cfg.get(key, default)
     if raw is None:
         raise ConfigError(f"{key}: required field is missing")
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    val = _to_float(key, raw)
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
     return val
@@ -151,10 +161,9 @@ def cmd_dimension(cfg: dict, out: str, seed: int | None) -> int:
         raw = cfg.get("couplings")
         if raw is None:
             raise ConfigError("couplings: required for mode=sweep")
-        try:
-            V_list = [float(v) for v in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"couplings: not a number list: {raw!r}") from None
+        V_list = [
+            _to_float("couplings", v) for v in raw.replace(",", " ").split()
+        ]
         k = _get_level(cfg, minimum=2)
         rows = boxdim.asymptote_check(V_list, k)
         payload["table"] = [

@@ -102,6 +102,25 @@ def _finish(run: RecurrenceRun) -> RecurrenceRun:
     return run
 
 
+def _step(
+    params: RecurrenceParams, b: np.ndarray, large0: float, slack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step (small, large) from (1, large0) over heights b with slack."""
+    lam, dl, c1 = params.lam, params.delta, params.c1
+    small = np.empty(len(b))
+    large = np.empty(len(b))
+    small[0], large[0] = 1.0, large0
+    for k in range(len(b) - 1):
+        small[k + 1] = ((1.0 + 2.0 * dl) * small[k] + dl * large[k]) * (
+            1.0 - slack[k, 0]
+        )
+        large[k + 1] = (
+            (lam - dl) * large[k] - c1 * b[k] * small[k]
+            + slack[k, 1] * large[k]
+        )
+    return small, large
+
+
 def run_dD(
     params: RecurrenceParams, N: int, D0: float | None = None
 ) -> RecurrenceRun:
@@ -109,18 +128,13 @@ def run_dD(
     params.validate()
     if N < 1:
         raise ValueError("N must be >= 1")
-    lam, dl, c1, c2 = params.lam, params.delta, params.c1, params.c2
+    lam, dl, c2 = params.lam, params.delta, params.c2
     if D0 is None:
         D0 = c2 * (lam + dl) ** (-N / 2.0)
     if D0 < c2 * (lam + dl) ** (-N / 2.0) * (1.0 - 1e-12):
         raise ValueError("D0 below the admissible boundary value")
-    b = (lam - dl) ** (np.arange(N + 1, dtype=float) - N)
-    d = np.empty(N + 1)
-    D = np.empty(N + 1)
-    d[0], D[0] = 1.0, D0
-    for k in range(N):
-        d[k + 1] = (1.0 + 2.0 * dl) * d[k] + dl * D[k]
-        D[k + 1] = (lam - dl) * D[k] - c1 * b[k] * d[k]
+    b = geometric_heights(params, N)
+    d, D = _step(params, b, D0, np.zeros((N, 2)))
     return _finish(
         RecurrenceRun(
             params=params, n=N, kind="dD", small=d, large=D, heights=b
@@ -170,7 +184,7 @@ def run_aA(
     params.validate()
     if N < 1:
         raise ValueError("N must be >= 1")
-    lam, dl, c1, c2 = params.lam, params.delta, params.c1, params.c2
+    c2 = params.c2
     b = geometric_heights(params, N) if heights is None else np.asarray(
         heights, dtype=float
     )
@@ -188,14 +202,7 @@ def run_aA(
     )
     if slack.shape != (N, 2) or np.any(slack < 0.0) or np.any(slack >= 1.0):
         raise ValueError("slack schedule must be (N, 2) fractions in [0, 1)")
-    a = np.empty(N + 1)
-    A = np.empty(N + 1)
-    a[0], A[0] = 1.0, A0
-    for k in range(N):
-        a[k + 1] = ((1.0 + 2.0 * dl) * a[k] + dl * A[k]) * (
-            1.0 - slack[k, 0]
-        )
-        A[k + 1] = (lam - dl) * A[k] - c1 * b[k] * a[k] + slack[k, 1] * A[k]
+    a, A = _step(params, b, A0, slack)
     return _finish(
         RecurrenceRun(
             params=params, n=N, kind="aA", small=a, large=A, heights=b

@@ -1,23 +1,23 @@
-"""Spectrum computation via the trace recursion and orbit boundedness.
+"""Band covers of the Fibonacci Hamiltonian's spectrum.
 
-An energy E is in the spectrum of the coupling-V operator iff the
-forward orbit of ((E - V)/2, E/2, 1) under the trace map stays bounded.
 The half-traces x_k(E) of the Fibonacci-block transfer matrices obey
 
     x_{k+1} = 2 x_k x_{k-1} - x_{k-2},
     (x_{-1}, x_0, x_1) = (1, E/2, (E - V)/2),
 
-which is exactly that orbit read off coordinate-wise.  Periodic
-approximants give band sets sigma_k = {E : |x_k(E)| <= 1} whose
-consecutive unions cover the spectrum.  By Floquet theory x_k = +1 or
--1 exactly at the eigenvalues of the period-F_k operator with periodic
-or antiperiodic boundary conditions, so the band edges are computed as
-those eigenvalues.
+so they are the coordinates of the trace-map orbit of the line point
+((E - V)/2, E/2, 1), and E lies in the spectrum exactly when that orbit
+stays bounded.  ``trace_sequence`` runs the recursion for an array of
+energies; ``half_trace_oracle`` multiplies the transfer matrices as an
+independent reference.  Periodic approximants give band sets
+sigma_k = {E : |x_k(E)| <= 1} whose consecutive unions cover the
+spectrum.  By Floquet theory x_k = +1 or -1 exactly at the eigenvalues
+of the period-F_k operator with periodic or antiperiodic boundary
+conditions, so the band edges are computed as those eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,11 +27,8 @@ from .intervals import BandSet, merge_intervals  # noqa: F401
 
 __all__ = [
     "ALPHA",
-    "OrbitRecord",
     "MAX_LEVEL",
     "approximant_chain",
-    "escape_mask",
-    "escape_test",
     "fibonacci",
     "half_trace_oracle",
     "spectrum_cover",
@@ -41,7 +38,7 @@ __all__ = [
 
 ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 
-#: magnitude cap; values past it are treated as certified-unbounded
+#: magnitude past which trace_sequence reports NaN (the orbit escapes)
 OVERFLOW = 1e300
 
 MAX_ORACLE_INDEX = 16
@@ -108,99 +105,23 @@ def half_trace_oracle(k: int, E, coupling: float):
     return float(out[0]) if scalar else out
 
 
-def trace_sequence(E: float, coupling: float, k_max: int):
-    """Half-traces x_{-1} .. x_{k_max} by the recursion.
+def trace_sequence(E, coupling: float, k_max: int) -> np.ndarray:
+    """Half-traces x_{-1} .. x_{k_max} by the recursion, for every E at once.
 
-    Returns (values, escaped): values may be shorter than requested when
-    the recursion overflows, in which case escaped is True.
+    Returns an array of shape (k_max + 2, *E.shape) whose row j + 1 holds
+    x_j.  From the first value that is non-finite or exceeds ``OVERFLOW``
+    in magnitude, that value and every later one of its energy are NaN.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    E = float(E)
-    xs = [1.0, E / 2.0, (E - coupling) / 2.0]
-    for _ in range(k_max - 1):
-        nxt = 2.0 * xs[-1] * xs[-2] - xs[-3]
-        if not np.isfinite(nxt) or abs(nxt) > OVERFLOW:
-            return np.array(xs), True
-        xs.append(nxt)
-    return np.array(xs), False
-
-
-@dataclass
-class OrbitRecord:
-    """Outcome of the boundedness test for one energy."""
-
-    start: np.ndarray
-    status: str  # "bounded_so_far" or "escaped"
-    steps_used: int
-    escape_index: int | None
-    max_norm: float
-
-    @property
-    def escaped(self) -> bool:
-        return self.status == "escaped"
-
-
-def escape_test(
-    E: float,
-    coupling: float,
-    n_max: int = 10000,
-    escape_radius: float = 2.0,
-) -> OrbitRecord:
-    """Iterate the orbit of the line point and look for certified escape.
-
-    Escape is declared once two consecutive half-traces exceed 1 in
-    absolute value and the later one also exceeds ``escape_radius``;
-    from there the recursion grows super-exponentially and the orbit is
-    unbounded.  Otherwise the energy is only "bounded so far".
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if escape_radius <= 1.0:
-        raise ValueError("escape_radius must be > 1")
-    start = np.array([(E - coupling) / 2.0, E / 2.0, 1.0])
-    a, b, c = 1.0, E / 2.0, (E - coupling) / 2.0  # x_{k-2}, x_{k-1}, x_k
-    max_norm = float(np.linalg.norm(start))
-    for step in range(1, n_max + 1):
-        nxt = 2.0 * c * b - a
-        if not np.isfinite(nxt) or abs(nxt) > OVERFLOW:
-            return OrbitRecord(start, "escaped", step, step, max_norm)
-        a, b, c = b, c, nxt
-        max_norm = max(max_norm, float(np.sqrt(a * a + b * b + c * c)))
-        if abs(b) > 1.0 and abs(c) > 1.0 and abs(c) > escape_radius:
-            return OrbitRecord(start, "escaped", step, step, max_norm)
-    return OrbitRecord(start, "bounded_so_far", n_max, None, max_norm)
-
-
-def escape_mask(
-    E,
-    coupling: float,
-    n_max: int = 10000,
-    escape_radius: float = 2.0,
-) -> np.ndarray:
-    """Vectorized escape test: True where the energy certifiably escapes."""
     E = np.asarray(E, dtype=float)
-    a = np.ones_like(E)
-    b = E / 2.0
-    c = (E - coupling) / 2.0
-    escaped = np.zeros(E.shape, dtype=bool)
-    active = np.ones(E.shape, dtype=bool)
-    for _ in range(n_max):
-        if not active.any():
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = 2.0 * c * b - a
-        blown = active & (~np.isfinite(nxt) | (np.abs(nxt) > OVERFLOW))
-        a = np.where(active, b, a)
-        b = np.where(active, c, b)
-        c = np.where(active & ~blown, nxt, c)
-        fired = active & (
-            blown
-            | ((np.abs(b) > 1.0) & (np.abs(c) > 1.0) & (np.abs(c) > escape_radius))
-        )
-        escaped |= fired
-        active &= ~fired
-    return escaped
+    x = np.empty((k_max + 2, *E.shape))
+    x[0], x[1], x[2] = 1.0, E / 2.0, (E - coupling) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3, k_max + 2):
+            x[j] = 2.0 * x[j - 1] * x[j - 2] - x[j - 3]
+        x[~np.logical_and.accumulate(np.abs(x) <= OVERFLOW, axis=0)] = np.nan
+    return x
 
 
 def _fibonacci_word(k: int) -> np.ndarray:

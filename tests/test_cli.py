@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -56,6 +58,30 @@ def test_negative_dimension_resolution_exits_2_naming_field(tmp_path):
     )
     assert r.returncode == 2
     assert "resolution" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args, ini, needle",
+    [
+        (("certify", "--set", "kind=empirical", "--set", "coupling=0.05",
+          "--set", "seed=5"), None, "--seed"),
+        (("certify", "--set", "kind=empirical", "--set", "coupling=0.05"),
+         "[run]\nseed = 5\n", "--seed"),
+        (("spectrum", "--set", "coupling=nan"), None, "coupling:"),
+        (("spectrum", "--set", "coupling=1", "--set", "k=inf"), None, "k:"),
+        (("subshift", "--set", "n=nan"), None, "n:"),
+        (("dimension", "--set", "mode=sweep", "--set", "couplings=2 nan"),
+         None, "couplings:"),
+    ],
+)
+def test_config_errors_exit_2_naming_field(tmp_path, args, ini, needle):
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        args = (*args, "--config", str(tmp_path / "run.ini"))
+    r = run_cli(*args, "--out", str(tmp_path / "x.json"))
+    assert r.returncode == 2
+    assert needle in r.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_level_past_the_cap_exits_2_naming_k(tmp_path):

@@ -31,8 +31,8 @@ def test_zero_slack_aA_equals_dD():
     N = 120
     r_a = recurrences.run_aA(p, N)
     r_d = recurrences.run_dD(p, N, D0=r_a.large[0])
-    assert np.allclose(r_a.small, r_d.small, rtol=1e-12)
-    assert np.allclose(r_a.large, r_d.large, rtol=1e-12)
+    assert np.array_equal(r_a.small, r_d.small)
+    assert np.array_equal(r_a.large, r_d.large)
 
 
 def test_random_slack_schedules_dominate():

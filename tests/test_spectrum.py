@@ -15,33 +15,30 @@ def test_fibonacci_numbers():
 def test_recursion_matches_matrix_oracle():
     E_grid = np.linspace(-3, 3, 61)
     for V in (0.0, 0.5, 1.0):
+        xs = spectrum.trace_sequence(E_grid, V, 8)
         for k in range(-1, 9):
             oracle = spectrum.half_trace_oracle(k, E_grid, V)
-            rec = np.array(
-                [spectrum.trace_sequence(E, V, max(k, 1))[0][k + 1]
-                 for E in E_grid]
-            )
             scale = np.maximum(1.0, np.abs(oracle))
-            assert np.max(np.abs(rec - oracle) / scale) < 1e-10
+            assert np.max(np.abs(xs[k + 1] - oracle) / scale) < 1e-10
 
 
-def test_escape_test_classifies_correctly():
+def test_trace_sequence_shape_and_overflow():
+    assert spectrum.trace_sequence(0.5, 1.0, 3).shape == (5,)
+    assert spectrum.trace_sequence(np.zeros((2, 3)), 1.0, 4).shape == (6, 2, 3)
     # E = 0, V = 0 is the spectrum's center: x_k cycles within [-1, 1]
-    assert not spectrum.escape_test(0.0, 0.0).escaped
-    # far outside any spectrum
-    rec = spectrum.escape_test(10.0, 1.0)
-    assert rec.escaped and rec.escape_index is not None
+    assert np.all(np.abs(spectrum.trace_sequence(0.0, 0.0, 200)) <= 1.0)
+    # far outside the spectrum the orbit escapes; from the first value
+    # past OVERFLOW every later one is NaN
+    x = spectrum.trace_sequence(10.0, 1.0, 40)
+    blown = np.isnan(x)
+    first = int(np.argmax(blown))
+    assert 3 < first and blown[first:].all()
+    assert np.all(np.abs(x[:first]) <= spectrum.OVERFLOW)
+    # x_0 = 1.5e300 is past OVERFLOW, so the finite x_1 = 0, x_2 = -1 that
+    # follow it are NaN too
+    assert np.isnan(spectrum.trace_sequence(3e300, 3e300, 4)[1:]).all()
     with pytest.raises(ValueError):
-        spectrum.escape_test(0.0, 0.0, escape_radius=0.5)
-
-
-def test_escape_mask_matches_scalar_test():
-    E = np.linspace(-4, 4, 101)
-    mask = spectrum.escape_mask(E, 1.0, n_max=200)
-    scal = np.array(
-        [spectrum.escape_test(e, 1.0, n_max=200).escaped for e in E]
-    )
-    assert np.array_equal(mask, scal)
+        spectrum.trace_sequence(0.0, 1.0, 0)
 
 
 def test_free_spectrum_is_interval():
@@ -68,8 +65,14 @@ def test_bounded_energies_lie_in_cover():
     V, k = 1.0, 10
     cover = spectrum.spectrum_cover(V, k, resolution=1e-3)
     E = np.linspace(V - 3, V + 3, 1201)
-    bounded = ~spectrum.escape_mask(E, V, n_max=10000)
-    assert all(cover.contains(e, slack=1e-3) for e in E[bounded])
+    x = spectrum.trace_sequence(E, V, k + 1)
+    small = (np.abs(x[k + 1]) <= 1.0) | (np.abs(x[k + 2]) <= 1.0)
+    lo, hi = cover.intervals.T
+    inside = ((lo <= E[:, None]) & (E[:, None] <= hi)).any(axis=1)
+    assert small.any()
+    assert inside[small].all()
+    # no gap the cover merged falls on the grid, so the converse holds too
+    assert small[inside].all()
 
 
 def test_every_level_holds_fibonacci_many_bands():
