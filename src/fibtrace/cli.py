@@ -205,19 +205,26 @@ def cmd_certify(cfg: dict, out: str, seed: int | None) -> int:
             delta=_get_float(cfg, "delta", default=1e-3),
         )
         N = _get_int(cfg, "n", default=200, minimum=1)
+        n_max = recurrences.max_steps(params)
+        if N > n_max:
+            raise ConfigError(
+                f"n: must be <= {n_max} at these lam, delta, epsilon and c2,"
+                f" got {N}"
+            )
         run = recurrences.run_dD(params, N)
         schedules = _get_int(cfg, "slack_schedules", default=100, minimum=0)
+        slack = np.empty((schedules, N, 2))
+        for row in slack:
+            row[:, 0] = rng.uniform(0.0, 0.3, N)
+            row[:, 1] = rng.uniform(0.0, 0.2, N)
         aa_pass = 0
-        ref = None  # the exact run from the schedules' shared start A_0
-        for _ in range(schedules):
-            slack = np.column_stack(
-                [rng.uniform(0.0, 0.3, N), rng.uniform(0.0, 0.2, N)]
+        if schedules:
+            runs = recurrences.run_aA(params, N, slack_schedule=slack)
+            # the exact run from the schedules' shared start A_0
+            ref = recurrences.run_dD(params, N, D0=runs.large[0, 0])
+            aa_pass = int(
+                np.count_nonzero(runs.passed & recurrences.dominates(runs, ref))
             )
-            r = recurrences.run_aA(params, N, slack_schedule=slack)
-            if ref is None or ref.large[0] != r.large[0]:
-                ref = recurrences.run_dD(params, N, D0=r.large[0])
-            if r.passed and recurrences.dominates(r, ref):
-                aa_pass += 1
         payload["report"] = {
             "kind": "recurrence",
             "N": N,

@@ -36,6 +36,17 @@ def trace_jacobian(p) -> np.ndarray:
     return jac
 
 
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) array.
+
+    The same sum in the same order as ``np.linalg.norm(q, axis=-1)``, so
+    bitwise equal to it, but taken over whole columns instead of reducing
+    along the short last axis, which is several times faster.
+    """
+    x, y, z = q[:, 0], q[:, 1], q[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def sample_bounded_points(
     coupling: float,
     n_samples: int,
@@ -67,14 +78,14 @@ def sample_bounded_points(
     )
     # drop candidates at the singular vertices themselves
     for s in singular_points():
-        cand = cand[np.linalg.norm(cand - s, axis=-1) > 1e-6]
+        cand = cand[_row_norms(cand - s) > 1e-6]
     # step only the rows still bounded, so ruled-out rows cannot overflow
     live = np.arange(len(cand))
     for stepper in (trace_step, trace_step_inv):
         q = cand[live]
         for _ in range(n_forward):
             q = stepper(q)
-            ok = np.linalg.norm(q, axis=-1) <= norm_cap
+            ok = _row_norms(q) <= norm_cap
             q, live = q.compress(ok, axis=0), live[ok]
         if not len(live):
             break

@@ -95,10 +95,14 @@ class BandSet:
         return bool(np.any((lo - slack <= e) & (e <= hi + slack)))
 
     def union(self, other: "BandSet", gap_tol: float = 0.0) -> "BandSet":
-        return BandSet(
-            merge_intervals(np.concatenate([self.intervals, other.intervals]), gap_tol),
-            generation=max(self.generation, other.generation),
+        # the merged array is already sorted and disjoint, so it is set
+        # directly rather than merged again by __post_init__
+        merged = object.__new__(BandSet)
+        merged.intervals = merge_intervals(
+            np.concatenate([self.intervals, other.intervals]), gap_tol
         )
+        merged.generation = max(self.generation, other.generation)
+        return merged
 
     def intersect_window(self, lo: float, hi: float) -> "BandSet":
         """Restriction to the closed window [lo, hi]."""

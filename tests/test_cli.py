@@ -159,6 +159,46 @@ def test_certify_recurrence(tmp_path):
     assert rep["slack_schedules_passed"] == 5
 
 
+def test_certify_recurrence_mixed_passes(tmp_path):
+    # at delta = 0.2 and n = 5 only some schedules pass; the count is the
+    # one the per-schedule loop gave before the schedules were stacked
+    out = tmp_path / "c.json"
+    r = run_cli(
+        "certify", "--out", str(out), "--seed", "1",
+        "--set", "kind=recurrence", "--set", "n=5", "--set", "delta=0.2",
+        "--set", "slack_schedules=50",
+    )
+    assert r.returncode == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["slack_schedules"] == 50 and rep["slack_schedules_passed"] == 5
+
+
+def test_certify_recurrence_without_schedules(tmp_path):
+    out = tmp_path / "c.json"
+    r = run_cli(
+        "certify", "--out", str(out), "--seed", "1",
+        "--set", "kind=recurrence", "--set", "slack_schedules=0",
+    )
+    assert r.returncode == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["slack_schedules_passed"] == 0 and rep["tail_bound_ok"]
+
+
+@pytest.mark.parametrize("n, code", [(736, 0), (737, 2), (800, 2), (1500, 2)])
+def test_certify_recurrence_n_is_bounded(tmp_path, n, code):
+    # past n = 736 the heights (lambda - delta)^(k - n) go subnormal at the
+    # defaults; such runs once failed with messages naming no field
+    r = run_cli(
+        "certify", "--out", str(tmp_path / "c.json"), "--seed", "1",
+        "--set", "kind=recurrence", "--set", f"n={n}",
+        "--set", "slack_schedules=3",
+    )
+    assert r.returncode == code
+    assert "Warning" not in r.stderr
+    if code == 2:
+        assert "n: must be <= 736" in r.stderr
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

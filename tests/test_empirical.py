@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from fibtrace import empirical
-from fibtrace.tracemap import on_surface, trace_step
+from fibtrace.tracemap import (
+    on_surface,
+    singular_points,
+    trace_step,
+    trace_step_inv,
+)
 
 
 def test_trace_jacobian_matches_finite_differences():
@@ -25,6 +30,46 @@ def test_sampled_points_are_bounded_surface_points():
     for _ in range(20):
         q = trace_step(q)
         assert np.all(np.linalg.norm(q, axis=-1) <= 10.0 + 1e-9)
+
+
+def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
+                      grid=160, rng=None):
+    """The bounded-point draw written with np.linalg.norm for every norm."""
+    rng = np.random.default_rng(rng)
+    u = np.linspace(-0.999, 0.999, grid)
+    xx, yy = np.meshgrid(u, u, indexing="ij")
+    xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
+    yy = yy + rng.uniform(-0.5, 0.5, yy.shape) * (u[1] - u[0])
+    disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
+    ok = disc >= 0.0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    cand = np.concatenate([
+        np.stack([xx[ok], yy[ok], (xx * yy + root)[ok]], axis=-1),
+        np.stack([xx[ok], yy[ok], (xx * yy - root)[ok]], axis=-1),
+    ])
+    for s in singular_points():
+        cand = cand[np.linalg.norm(cand - s, axis=-1) > 1e-6]
+    live = np.arange(len(cand))
+    for stepper in (trace_step, trace_step_inv):
+        q = cand[live]
+        for _ in range(n_forward):
+            q = stepper(q)
+            ok = np.linalg.norm(q, axis=-1) <= norm_cap
+            q, live = q[ok], live[ok]
+        if not len(live):
+            break
+    pts = cand[live]
+    if len(pts) > n_samples:
+        pts = pts[rng.choice(len(pts), size=n_samples, replace=False)]
+    return pts
+
+
+@pytest.mark.parametrize("coupling", [0.02, 0.05])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampler_matches_linalg_norm_reference(coupling, seed):
+    pts = empirical.sample_bounded_points(coupling, 400, rng=seed)
+    assert len(pts) == 400
+    assert np.array_equal(pts, _reference_sample(coupling, 400, rng=seed))
 
 
 def test_certificate_reports_clean_statistics():

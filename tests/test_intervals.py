@@ -97,6 +97,24 @@ def test_union_and_merged():
     assert a.union(b, gap_tol=0.6).intervals.tolist() == [[0.0, 2.0]]
 
 
+def test_union_merges_once(monkeypatch):
+    from fibtrace import intervals
+
+    calls = []
+
+    def counting_merge(ivs, gap_tol=0.0):
+        calls.append(gap_tol)
+        return merge_intervals(ivs, gap_tol)
+
+    a = BandSet([(0.0, 1.0), (3.0, 4.0)], generation=3)
+    b = BandSet([(0.5, 2.0), (2.05, 2.5)], generation=4)
+    monkeypatch.setattr(intervals, "merge_intervals", counting_merge)
+    u = a.union(b, gap_tol=0.1)
+    assert calls == [0.1]
+    assert u.intervals.tolist() == [[0.0, 2.5], [3.0, 4.0]] and u.generation == 4
+    assert isinstance(u, BandSet) and u.measure == 3.5
+
+
 def test_empty_bandset_raises_on_queries():
     empty = BandSet([])
     assert not empty and empty.intervals.shape == (0, 2)

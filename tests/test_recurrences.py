@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,3 +93,153 @@ def test_find_passing_parameters():
     assert delta0 > 0 and n0 == 50
     run = recurrences.run_dD(RecurrenceParams(delta=delta0), n0)
     assert run.passed and run.stepwise_growth_ok and run.dichotomy_ok
+
+
+def _slack_stack(rng, S, N):
+    """S schedules drawn in the CLI's order: a column of a-slack, then A."""
+    slack = np.empty((S, N, 2))
+    for row in slack:
+        row[:, 0] = rng.uniform(0.0, 0.3, N)
+        row[:, 1] = rng.uniform(0.0, 0.2, N)
+    return slack
+
+
+FLAGS = ("tail_bound_ok", "growth_bound_ok", "stepwise_growth_ok",
+         "stepwise_small_ok", "dichotomy_ok", "passed")
+
+
+def _reference_run(p, N, slack):
+    """One schedule stepped and checked with scalar loops and early exits."""
+    b = recurrences.geometric_heights(p, N)
+    a, A = np.empty(N + 1), np.empty(N + 1)
+    a[0], A[0] = 1.0, p.c2 * np.sqrt(b[0])
+    for k in range(N):
+        a[k + 1] = ((1.0 + 2.0 * p.delta) * a[k] + p.delta * A[k]) * (
+            1.0 - slack[k, 0]
+        )
+        A[k + 1] = ((p.lam - p.delta) * A[k] - p.c1 * b[k] * a[k]
+                    + slack[k, 1] * A[k])
+    sqd = np.sqrt(p.delta)
+    target = A[0] * p.lam ** (N * (1.0 - p.epsilon))
+    lam_eps = p.lam ** (1.0 - p.epsilon)
+    flags = {
+        "tail_bound_ok": bool(a[N] <= 2.0 * sqd * A[N]),
+        "growth_bound_ok": bool(
+            A[N] >= target
+            and target > p.lam ** ((N / 2.0) * (1.0 - 4.0 * p.epsilon))
+        ),
+        "stepwise_growth_ok": all(
+            A[k + 1] >= lam_eps * A[k] * (1.0 - 1e-12) for k in range(N)
+        ),
+        "stepwise_small_ok": all(
+            a[k + 1] <= (1.0 + 2.0 * p.delta + sqd)
+            * max(a[k], sqd * A[k]) * (1.0 + 1e-12)
+            for k in range(N)
+        ),
+    }
+    ahead = [sqd * A[k] > a[k] for k in range(N + 1)]
+    crossover = ahead.index(True) if True in ahead else None
+    flags["dichotomy_ok"] = crossover is None or all(ahead[crossover:])
+    flags["passed"] = flags["tail_bound_ok"] and flags["growth_bound_ok"]
+    return a, A, flags, crossover
+
+
+# the first three mix passing and failing schedules: c1 = 3, delta = 0.24,
+# N = 10 mixes the tail, growth and dichotomy flags and the crossover
+@pytest.mark.parametrize("c1, delta, N", [
+    (1.0, 0.2, 5), (3.0, 0.24, 10), (1.0, 0.24, 30), (1.0, 1e-3, 150),
+])
+def test_stacked_run_aA_equals_single_runs(c1, delta, N):
+    p = RecurrenceParams(c1=c1, delta=delta)
+    slack = _slack_stack(np.random.default_rng(21), 60, N)
+    stacked = recurrences.run_aA(p, N, slack_schedule=slack)
+    assert stacked.small.shape == stacked.large.shape == (60, N + 1)
+    for name in FLAGS + ("crossover",):
+        assert getattr(stacked, name).shape == (60,)
+    for s, row in enumerate(slack):
+        one = recurrences.run_aA(p, N, slack_schedule=row)
+        assert np.array_equal(stacked.small[s], one.small)
+        assert np.array_equal(stacked.large[s], one.large)
+        assert np.array_equal(stacked.heights, one.heights)
+        for name in FLAGS:
+            assert type(getattr(one, name)) is bool
+            assert getattr(stacked, name)[s] == getattr(one, name), name
+        expected = -1 if one.crossover is None else one.crossover
+        assert stacked.crossover[s] == expected
+        a, A, flags, crossover = _reference_run(p, N, row)
+        assert np.array_equal(one.small, a) and np.array_equal(one.large, A)
+        assert {name: getattr(one, name) for name in FLAGS} == flags
+        assert one.crossover == crossover
+    if delta > 0.1:  # some flag holds on some schedules and fails on others
+        counts = [np.count_nonzero(getattr(stacked, name)) for name in FLAGS]
+        assert any(0 < n < 60 for n in counts)
+
+
+@pytest.mark.parametrize("delta, N", [(0.2, 5), (1e-3, 150)])
+def test_stacked_dominates_equals_single_calls(delta, N):
+    p = RecurrenceParams(delta=delta)
+    slack = _slack_stack(np.random.default_rng(22), 40, N)
+    stacked = recurrences.run_aA(p, N, slack_schedule=slack)
+    ref = recurrences.run_dD(p, N, D0=stacked.large[0, 0])
+    dom = recurrences.dominates(stacked, ref)
+    assert dom.shape == (40,) and dom.dtype == bool
+    for s, row in enumerate(slack):
+        one = recurrences.run_aA(p, N, slack_schedule=row)
+        assert dom[s] == recurrences.dominates(one, ref)
+    assert type(recurrences.dominates(one, ref)) is bool
+
+
+def test_zero_slack_schedules():
+    p = RecurrenceParams(delta=1e-3)
+    runs = recurrences.run_aA(p, 30, slack_schedule=np.empty((0, 30, 2)))
+    assert runs.small.shape == runs.large.shape == (0, 31)
+    for name in FLAGS + ("crossover",):
+        assert getattr(runs, name).shape == (0,)
+    ref = recurrences.run_dD(p, 30)
+    assert recurrences.dominates(runs, ref).shape == (0,)
+    with pytest.raises(ValueError):
+        recurrences.run_aA(p, 30, slack_schedule=np.zeros((2, 2, 30, 2)))
+
+
+def _quantities(p, N):
+    """b_0, the default D_0, the growth factor and the growth target at N."""
+    with np.errstate(all="ignore"):
+        b0 = recurrences.geometric_heights(p, N)[0]
+        d0 = p.c2 * (p.lam + p.delta) ** (-N / 2.0)
+        growth = np.float64(p.lam) ** (N * (1.0 - p.epsilon))
+        return np.array([b0, d0, growth, d0 * growth])
+
+
+@pytest.mark.parametrize("params", [
+    RecurrenceParams(delta=1e-3),
+    RecurrenceParams(delta=0.0),
+    RecurrenceParams(delta=0.05, epsilon=0.2),
+    RecurrenceParams(lam=4.0, c2=1e-20, delta=0.01),
+    RecurrenceParams(lam=1.3, epsilon=0.01, delta=0.001),
+])
+def test_max_steps_is_the_last_normal_n(params):
+    n_max = recurrences.max_steps(params)
+    tiny = np.finfo(float).tiny
+    at, past = _quantities(params, n_max), _quantities(params, n_max + 1)
+    assert np.all(np.isfinite(at) & (at >= tiny))
+    assert not np.all(np.isfinite(past) & (past >= tiny))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recurrences.run_dD(params, n_max)
+    for run in (recurrences.run_dD, recurrences.run_aA):
+        with pytest.raises(ValueError, match=f"N must be <= {n_max}"):
+            run(params, n_max + 1)
+
+
+def test_max_steps_of_the_default_parameters():
+    # b_0 = (lambda - delta)^(-N) reaches the smallest normal float first
+    p = RecurrenceParams(delta=1e-3)
+    assert recurrences.max_steps(p) == 736
+    assert 736 == math.floor(
+        -math.log(np.finfo(float).tiny) / math.log(p.lam - p.delta)
+    )
+    slack = _slack_stack(np.random.default_rng(23), 5, 736)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = recurrences.run_aA(p, 736, slack_schedule=slack)
+    assert np.all(np.isfinite(runs.large)) and np.all(runs.passed)
