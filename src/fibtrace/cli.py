@@ -4,9 +4,10 @@ Commands: spectrum, dimension, certify, mesh, subshift.  Parameters live
 in an INI-style config file (section [run]) and can be overridden with
 repeated ``--set key=value`` flags; ``--seed`` fixes all randomness so a
 rerun produces byte-identical output files, and a ``seed`` config key is
-refused.  Numeric fields must be finite.  Every output records the
-configuration keys that were given, the seed and the toolkit version;
-defaults that were not given are not written out.
+refused.  ``FIELDS`` gives each command's fields (per ``dimension`` mode
+and ``certify`` kind) with type, default and bounds; other keys are
+refused.  Every output records the value every field resolved to, the
+seed and the toolkit version.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
 error, 3 runtime numeric failure.
@@ -17,14 +18,16 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import boxdim, empirical, recurrences, spectrum, subshift
 from . import certify as cert
-from .tracemap import per2_point, surface_mesh
+from .tracemap import PER2_POLE_BAND, per2_point, surface_mesh
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -32,6 +35,81 @@ EXIT_NUMERIC = 3
 
 class ConfigError(Exception):
     """Invalid or missing configuration value; message names the field."""
+
+
+class Field(NamedTuple):
+    """A float, int, bool or list (of floats) field; required if default is None.
+
+    ``lo`` and ``hi`` bound a number, or each element of a list,
+    inclusively, or exclusively where ``open``.
+    """
+
+    type: type
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    open: bool = False
+
+
+#: a cover at level k also builds level k + 1
+MAX_K = spectrum.MAX_LEVEL - 1
+
+#: the field that picks the table of a command, and its default
+SELECTORS = {"dimension": ("mode", "spectrum"), "certify": ("kind", "recurrence")}
+
+FIELDS: dict[str, dict[str, Field]] = {
+    "spectrum": {
+        "coupling": Field(float, lo=0.0),
+        "k": Field(int, 10, 1, MAX_K),
+        "resolution": Field(float, 1e-4, 0.0, open=True),
+    },
+    "dimension mode=cantor": {
+        "ratio": Field(float, None, 0.0, 0.5, open=True),
+        "depth": Field(int, 10, 1),
+    },
+    "dimension mode=spectrum": {
+        "coupling": Field(float, lo=0.0),
+        "k": Field(int, 10, 2, MAX_K),
+        "resolution": Field(float, 1e-7, 0.0),
+    },
+    "dimension mode=sweep": {
+        # boxdim.asymptote_check is defined for V >= 16 only
+        "couplings": Field(list, lo=16.0),
+        "k": Field(int, 10, 2, MAX_K),
+    },
+    "certify kind=recurrence": {
+        "c1": Field(float, 1.0),
+        "c2": Field(float, 1.0),
+        "lam": Field(float, float(cert.LAMBDA_BIG)),
+        "epsilon": Field(float, 0.1),
+        "delta": Field(float, 1e-3),
+        "n": Field(int, 200, 1),
+        "slack_schedules": Field(int, 100, 0),
+    },
+    "certify kind=model": {
+        "delta": Field(float, 1e-3, 0.0),
+        "vectors": Field(int, 1000, 1),
+        "n0": Field(int, 200, 1),
+    },
+    "certify kind=empirical": {
+        "coupling": Field(float, lo=1e-12),
+        "samples": Field(int, 1000, 1),
+        "n": Field(int, 30, 1),
+        "epsilon": Field(float, 0.1),
+        "zeta": Field(float, 0.1),
+        "singular_radius": Field(float, 0.05),
+    },
+    "mesh": {
+        "coupling": Field(float, lo=0.0),
+        "resolution": Field(int, 101, 2),
+        "x_min": Field(float, -2.0),
+        "x_max": Field(float, 2.0),
+        "y_min": Field(float, -2.0),
+        "y_max": Field(float, 2.0),
+        "per2": Field(bool, False),
+    },
+    "subshift": {"n": Field(int, 10, 1, 20)},
+}
 
 
 def _fmt(x) -> str:
@@ -45,9 +123,7 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         parser = configparser.ConfigParser()
         if not parser.read(path):
             raise ConfigError(f"config: cannot read {path!r}")
-        for section in parser.sections():
-            for key, val in parser.items(section):
-                cfg[key] = val
+        cfg = {key: val for sec in parser.sections() for key, val in parser.items(sec)}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -58,161 +134,115 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _to_float(key: str, raw) -> float:
+def _number(key: str, field: Field, raw: str | None):
+    """Parse ``raw`` (None if not given) as ``field`` and hold it to the bounds."""
+    if raw is None:
+        if field.default is None:
+            raise ConfigError(f"{key}: required field is missing")
+        return field.default
+    if field.type is bool:
+        word = raw.lower()
+        if word not in ("yes", "true", "1", "no", "false", "0"):
+            raise ConfigError(f"{key}: must be yes/true/1 or no/false/0, got {raw!r}")
+        return word in ("yes", "true", "1")
+    if field.type is list:
+        each = field._replace(type=float)
+        return [_number(key, each, v) for v in raw.replace(",", " ").split()]
     try:
         val = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{key}: not a number: {raw!r}") from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    if field.type is int:
+        if val != int(val):
+            raise ConfigError(f"{key}: must be an integer, got {val}")
+        val = int(val)
+    if field.lo is not None and (val <= field.lo if field.open else val < field.lo):
+        op = ">" if field.open else ">="
+        raise ConfigError(f"{key}: must be {op} {field.lo}, got {val}")
+    if field.hi is not None and (val >= field.hi if field.open else val > field.hi):
+        op = "<" if field.open else "<="
+        raise ConfigError(f"{key}: must be {op} {field.hi}, got {val}")
     return val
 
 
-def _get_float(cfg: dict, key: str, default=None, minimum=None) -> float:
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ConfigError(f"{key}: required field is missing")
-    val = _to_float(key, raw)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-    return val
+def _resolve(command: str, cfg: dict) -> dict:
+    """Every field of the command's table, parsed, bounded or defaulted."""
+    cfg = dict(cfg)
+    table, params = command, {}
+    if command in SELECTORS:
+        key, default = SELECTORS[command]
+        params[key] = cfg.pop(key, default)
+        table = f"{command} {key}={params[key]}"
+        if table not in FIELDS:
+            raise ConfigError(f"{key}: unknown {command} {key} {params[key]!r}")
+    for key in cfg:
+        if key not in FIELDS[table]:
+            raise ConfigError(f"{key}: not a field of {table}")
+    for key, field in FIELDS[table].items():
+        params[key] = _number(key, field, cfg.get(key))
+    return params
 
 
-def _get_int(cfg: dict, key: str, default=None, minimum=None) -> int:
-    val = _get_float(cfg, key, default, minimum)
-    if val != int(val):
-        raise ConfigError(f"{key}: must be an integer, got {val}")
-    return int(val)
+def _record(val) -> str:
+    """A resolved field as written to an output's ``config``."""
+    if isinstance(val, bool):
+        return "yes" if val else "no"
+    if isinstance(val, list):
+        return " ".join(map(_fmt, val))
+    return _fmt(val) if isinstance(val, float) else str(val)
 
 
-def _get_level(cfg: dict, minimum: int) -> int:
-    """Cover level k; the cover also builds level k + 1."""
-    k = _get_int(cfg, "k", default=10, minimum=minimum)
-    if k + 1 > spectrum.MAX_LEVEL:
-        raise ConfigError(f"k: must be <= {spectrum.MAX_LEVEL - 1}, got {k}")
-    return k
-
-
-def _write_json(path: str, payload: dict) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
-def _meta(cfg: dict, seed: int | None) -> dict:
-    resolved = dict(sorted(cfg.items()))
-    if seed is not None:
-        resolved["seed"] = str(seed)
-    return {"tool": "fibtrace", "version": __version__, "config": resolved}
-
-
-def _bands_to_rows(bands) -> list[dict]:
-    return [
-        {"lo": _fmt(lo), "hi": _fmt(hi), "generation": bands.generation}
-        for lo, hi in bands.intervals.tolist()
-    ]
-
-
-def cmd_spectrum(cfg: dict, out: str, seed: int | None) -> int:
-    V = _get_float(cfg, "coupling", minimum=0.0)
-    k = _get_level(cfg, minimum=1)
-    resolution = _get_float(cfg, "resolution", default=1e-4)
-    if resolution <= 0:
-        raise ConfigError("resolution: must be > 0")
-    cover = spectrum.spectrum_cover(V, k, resolution)
-    payload = _meta(cfg, seed)
-    payload.update(
-        {
-            "command": "spectrum",
-            "bands": _bands_to_rows(cover),
-            "band_count": len(cover),
-            "measure": _fmt(cover.measure),
-        }
-    )
-    _write_json(out, payload)
-    with open(out + ".csv", "w") as fh:
-        fh.write("lo,hi,generation\n")
-        for lo, hi in cover.intervals.tolist():
-            fh.write(f"{_fmt(lo)},{_fmt(hi)},{cover.generation}\n")
-    return 0
-
-
-def cmd_dimension(cfg: dict, out: str, seed: int | None) -> int:
-    mode = cfg.get("mode", "spectrum")
-    payload = _meta(cfg, seed)
-    payload["command"] = "dimension"
-    if mode == "cantor":
-        ratio = _get_float(cfg, "ratio")
-        if not 0.0 < ratio < 0.5:
-            raise ConfigError("ratio: must be in (0, 0.5)")
-        depth = _get_int(cfg, "depth", default=10, minimum=1)
-        bands = boxdim.cantor_bands(ratio, depth)
-        est = boxdim.box_dimension(bands, boxdim.auto_scale_grid(bands))
-        payload["estimate"] = _estimate_payload(est)
-    elif mode == "spectrum":
-        V = _get_float(cfg, "coupling", minimum=0.0)
-        k = _get_level(cfg, minimum=2)
-        cover = spectrum.spectrum_cover(
-            V, k, _get_float(cfg, "resolution", default=1e-7, minimum=0.0)
-        )
-        est = boxdim.box_dimension(cover, boxdim.auto_scale_grid(cover))
-        payload["estimate"] = _estimate_payload(est)
-    elif mode == "sweep":
-        raw = cfg.get("couplings")
-        if raw is None:
-            raise ConfigError("couplings: required for mode=sweep")
-        V_list = [
-            _to_float("couplings", v) for v in raw.replace(",", " ").split()
-        ]
-        k = _get_level(cfg, minimum=2)
-        rows = boxdim.asymptote_check(V_list, k)
-        payload["table"] = [
-            {
-                "V": _fmt(r["V"]),
-                "level": r["level"],
-                "dim": _fmt(r["dim"]),
-                "dim_log_V": _fmt(r["dim_log_V"]),
-                "residual": _fmt(r["residual"]),
-            }
-            for r in rows
-        ]
-    else:
-        raise ConfigError(f"mode: unknown dimension mode {mode!r}")
-    _write_json(out, payload)
-    return 0
-
-
-def _estimate_payload(est: boxdim.DimensionEstimate) -> dict:
+def cmd_spectrum(p: dict, out: str, seed: int | None) -> dict:
+    cover = spectrum.spectrum_cover(p["coupling"], p["k"], p["resolution"])
+    edges = [(_fmt(lo), _fmt(hi)) for lo, hi in cover.intervals.tolist()]
+    gen = cover.generation
+    _write_csv(out + ".csv", "lo,hi,generation", [(*e, str(gen)) for e in edges])
     return {
-        "value": _fmt(est.value),
-        "scale_range": [_fmt(est.scale_range[0]), _fmt(est.scale_range[1])],
-        "residual": _fmt(est.regression_residual),
-        "counts": [[_fmt(e), n] for e, n in est.counts],
+        "bands": [{"lo": lo, "hi": hi, "generation": gen} for lo, hi in edges],
+        "band_count": len(cover),
+        "measure": _fmt(cover.measure),
     }
 
 
-def cmd_certify(cfg: dict, out: str, seed: int | None) -> int:
-    kind = cfg.get("kind", "recurrence")
-    payload = _meta(cfg, seed)
-    payload["command"] = "certify"
+def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
+    if p["mode"] == "sweep":
+        rows = boxdim.asymptote_check(p["couplings"], p["k"])
+        floats = ("V", "dim", "dim_log_V", "residual")
+        return {"table": [
+            {"level": r["level"], **{key: _fmt(r[key]) for key in floats}} for r in rows
+        ]}
+    if p["mode"] == "cantor":
+        bands = boxdim.cantor_bands(p["ratio"], p["depth"])
+    else:
+        bands = spectrum.spectrum_cover(p["coupling"], p["k"], p["resolution"])
+    est = boxdim.box_dimension(bands, boxdim.auto_scale_grid(bands))
+    return {"estimate": {
+        "value": _fmt(est.value), "residual": _fmt(est.regression_residual),
+        "scale_range": [_fmt(est.scale_range[0]), _fmt(est.scale_range[1])],
+        "counts": [[_fmt(e), n] for e, n in est.counts],
+    }}
+
+
+def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
     rng = np.random.default_rng(seed)
-    if kind == "recurrence":
-        params = recurrences.RecurrenceParams(
-            c1=_get_float(cfg, "c1", default=1.0),
-            c2=_get_float(cfg, "c2", default=1.0),
-            lam=_get_float(cfg, "lam", default=cert.LAMBDA_BIG),
-            epsilon=_get_float(cfg, "epsilon", default=0.1),
-            delta=_get_float(cfg, "delta", default=1e-3),
-        )
-        N = _get_int(cfg, "n", default=200, minimum=1)
-        n_max = recurrences.max_steps(params)
+    if p["kind"] == "recurrence":
+        names = ("c1", "c2", "lam", "epsilon", "delta")
+        params = recurrences.RecurrenceParams(**{name: p[name] for name in names})
+        N, n_max = p["n"], recurrences.max_steps(params)
         if N > n_max:
-            raise ConfigError(
-                f"n: must be <= {n_max} at these lam, delta, epsilon and c2,"
-                f" got {N}"
-            )
+            at = "at these lam, delta, epsilon and c2"
+            raise ConfigError(f"n: must be <= {n_max} {at}, got {N}")
         run = recurrences.run_dD(params, N)
-        schedules = _get_int(cfg, "slack_schedules", default=100, minimum=0)
+        schedules = p["slack_schedules"]
         slack = np.empty((schedules, N, 2))
         for row in slack:
             row[:, 0] = rng.uniform(0.0, 0.3, N)
@@ -222,141 +252,74 @@ def cmd_certify(cfg: dict, out: str, seed: int | None) -> int:
             runs = recurrences.run_aA(params, N, slack_schedule=slack)
             # the exact run from the schedules' shared start A_0
             ref = recurrences.run_dD(params, N, D0=runs.large[0, 0])
-            aa_pass = int(
-                np.count_nonzero(runs.passed & recurrences.dominates(runs, ref))
-            )
-        payload["report"] = {
-            "kind": "recurrence",
-            "N": N,
-            "delta": _fmt(params.delta),
-            "tail_bound_ok": run.tail_bound_ok,
-            "growth_bound_ok": run.growth_bound_ok,
-            "stepwise_growth_ok": run.stepwise_growth_ok,
-            "stepwise_small_ok": run.stepwise_small_ok,
-            "dichotomy_ok": run.dichotomy_ok,
-            "slack_schedules": schedules,
-            "slack_schedules_passed": aa_pass,
-        }
-    elif kind == "model":
-        delta = _get_float(cfg, "delta", default=1e-3, minimum=0.0)
-        n_vectors = _get_int(cfg, "vectors", default=1000, minimum=1)
-        n0 = _get_int(cfg, "n0", default=200, minimum=1)
-        m = cert.make_model_map(
-            delta=delta, seed=None if seed is None else seed + 1
-        )
+            ok = runs.passed & recurrences.dominates(runs, ref)
+            aa_pass = int(np.count_nonzero(ok))
+        flags = ("tail_bound_ok", "growth_bound_ok", "stepwise_growth_ok",
+                 "stepwise_small_ok", "dichotomy_ok")
+        return {"report": {
+            "kind": "recurrence", "N": N, "delta": _fmt(params.delta),
+            **{flag: getattr(run, flag) for flag in flags},
+            "slack_schedules": schedules, "slack_schedules_passed": aa_pass,
+        }}
+    if p["kind"] == "model":
+        m_seed = None if seed is None else seed + 1
+        m = cert.make_model_map(delta=p["delta"], seed=m_seed)
+        n0 = p["n0"]
         points, vectors = [], []
-        for _ in range(n_vectors):
+        for _ in range(p["vectors"]):
             zp = cert.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
             points.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
             vectors.append(cert.sample_cone_vector_3d(zp, 1.0, rng))
         reps = cert.expansion_certificates(m, points, vectors)
-        inconclusive = sum(rep.status == "inconclusive" for rep in reps)
-        passed = sum(rep.all_ok for rep in reps)
-        payload["report"] = {
-            "kind": "model",
-            "delta": _fmt(delta),
-            "vectors": n_vectors,
-            "passed": passed,
-            "inconclusive": inconclusive,
-        }
-    elif kind == "empirical":
-        V = _get_float(cfg, "coupling", minimum=1e-12)
-        rep = empirical.empirical_trace_certificate(
-            V,
-            sample_size=_get_int(cfg, "samples", default=1000, minimum=1),
-            n_forward=_get_int(cfg, "n", default=30, minimum=1),
-            epsilon=_get_float(cfg, "epsilon", default=0.1),
-            zeta=_get_float(cfg, "zeta", default=0.1),
-            singular_radius=_get_float(cfg, "singular_radius", default=0.05),
-            rng=rng,
-        )
-        payload["report"] = {
-            "kind": "empirical",
-            "coupling": _fmt(V),
-            "samples": rep.samples_total,
-            "inconclusive_rate": _fmt(rep.inconclusive_rate),
-            "min_expansion_ratio": _fmt(rep.min_expansion_ratio),
-            "cone_invariance_fraction": _fmt(rep.cone_invariance_fraction),
-            "cone_checks": rep.cone_checks,
-            "singular_radius": _fmt(rep.singular_radius),
-        }
-    else:
-        raise ConfigError(f"kind: unknown certificate kind {kind!r}")
-    _write_json(out, payload)
-    return 0
+        return {"report": {
+            "kind": "model", "delta": _fmt(p["delta"]), "vectors": p["vectors"],
+            "passed": sum(rep.all_ok for rep in reps),
+            "inconclusive": sum(rep.status == "inconclusive" for rep in reps),
+        }}
+    rep = empirical.empirical_trace_certificate(
+        p["coupling"], sample_size=p["samples"], n_forward=p["n"], epsilon=p["epsilon"],
+        zeta=p["zeta"], singular_radius=p["singular_radius"], rng=rng,
+    )
+    rates = ("inconclusive_rate", "min_expansion_ratio", "cone_invariance_fraction",
+             "singular_radius")
+    return {"report": {
+        "kind": "empirical", "coupling": _fmt(p["coupling"]),
+        "samples": rep.samples_total, "cone_checks": rep.cone_checks,
+        **{name: _fmt(getattr(rep, name)) for name in rates},
+    }}
 
 
-def cmd_mesh(cfg: dict, out: str, seed: int | None) -> int:
-    V = _get_float(cfg, "coupling", minimum=0.0)
-    resolution = _get_int(cfg, "resolution", default=101)
-    if resolution < 2:
-        raise ConfigError("resolution: must be >= 2")
-    window = [
-        _get_float(cfg, "x_min", default=-2.0),
-        _get_float(cfg, "x_max", default=2.0),
-        _get_float(cfg, "y_min", default=-2.0),
-        _get_float(cfg, "y_max", default=2.0),
-    ]
-    if window[1] <= window[0] or window[3] <= window[2]:
+def cmd_mesh(p: dict, out: str, seed: int | None) -> dict:
+    x_win, y_win = (p["x_min"], p["x_max"]), (p["y_min"], p["y_max"])
+    if x_win[1] <= x_win[0] or y_win[1] <= y_win[0]:
         raise ConfigError("x_max/y_max: window must have positive extent")
-    mesh = surface_mesh(
-        V, (window[0], window[1]), (window[2], window[3]), resolution
-    )
+    mesh = surface_mesh(p["coupling"], x_win, y_win, p["resolution"])
     pts = mesh.points()
-    with open(out + ".csv", "w") as fh:
-        fh.write("x,y,z,sheet\n")
-        for x, y, z, sheet in pts:
-            sign = "+" if sheet > 0 else "-"
-            fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{sign}\n")
-    payload = _meta(cfg, seed)
-    payload.update(
-        {
-            "command": "mesh",
-            "points_emitted": int(len(pts)),
-            "nodes_valid": int(mesh.valid.sum()),
-            "nodes_total": int(mesh.valid.size),
-        }
-    )
-    if cfg.get("per2", "no").lower() in ("yes", "true", "1"):
-        xs = np.linspace(window[0], window[1], resolution)
-        rows = []
-        for x in xs:
-            try:
-                p = per2_point(x)
-            except ValueError:
-                continue
-            if window[2] <= p[1] <= window[3]:
-                rows.append(p)
-        with open(out + ".per2.csv", "w") as fh:
-            fh.write("x,y,z\n")
-            for p in rows:
-                fh.write(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
-        payload["per2_points"] = len(rows)
-    _write_json(out, payload)
-    return 0
+    rows = [(_fmt(x), _fmt(y), _fmt(z), "+" if sheet > 0 else "-")
+            for x, y, z, sheet in pts.tolist()]
+    _write_csv(out + ".csv", "x,y,z,sheet", rows)
+    result = {"points_emitted": int(len(pts)), "nodes_valid": int(mesh.valid.sum()),
+              "nodes_total": int(mesh.valid.size)}
+    if p["per2"]:
+        xs = np.linspace(*x_win, p["resolution"])
+        curve = per2_point(xs[np.abs(xs - 0.5) >= PER2_POLE_BAND])
+        curve = curve[(y_win[0] <= curve[:, 1]) & (curve[:, 1] <= y_win[1])]
+        rows = [map(_fmt, q) for q in curve.tolist()]
+        _write_csv(out + ".per2.csv", "x,y,z", rows)
+        result["per2_points"] = len(curve)
+    return result
 
 
-def cmd_subshift(cfg: dict, out: str, seed: int | None) -> int:
-    n_max = _get_int(cfg, "n", default=10, minimum=1)
-    if n_max > 20:
-        raise ConfigError("n: must be <= 20")
+def cmd_subshift(p: dict, out: str, seed: int | None) -> dict:
     table = []
-    for n in range(1, n_max + 1):
+    for n in range(1, p["n"] + 1):
         words, periodic = subshift.counts(n)
         table.append({"n": n, "words": words, "periodic": periodic})
     rho = subshift.spectral_radius()
-    payload = _meta(cfg, seed)
-    payload.update(
-        {
-            "command": "subshift",
-            "counts": table,
-            "spectral_radius": _fmt(rho),
-            "entropy": _fmt(float(np.log(rho))),
-            "transition": subshift.TRANSITION.tolist(),
-        }
-    )
-    _write_json(out, payload)
-    return 0
+    return {
+        "counts": table, "spectral_radius": _fmt(rho),
+        "entropy": _fmt(float(np.log(rho))), "transition": subshift.TRANSITION.tolist(),
+    }
 
 
 COMMANDS = {
@@ -370,8 +333,7 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fibtrace",
-        description="Trace-map spectra, dimensions, and hyperbolicity "
+        prog="fibtrace", description="Trace-map spectra, dimensions, and hyperbolicity "
         "certificates as reproducible data files.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -379,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output path (JSON)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
+        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override a config value (repeatable)",
     )
     return parser
@@ -392,14 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg, args.out, args.seed)
+        params = _resolve(args.command, _load_config(args.config, args.overrides))
+        result = COMMANDS[args.command](params, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    config = {key: _record(val) for key, val in params.items()}
+    if args.seed is not None:
+        config["seed"] = str(args.seed)
+    meta = {"tool": "fibtrace", "version": __version__, "command": args.command}
+    payload = {**meta, "config": config, **result}
+    with open(args.out, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -138,9 +138,12 @@ def max_steps(params: RecurrenceParams) -> int:
 
     These are the heights down to b_0 = (lambda - delta)^(-N), the
     boundary value D_0 = C2 (lambda + delta)^(-N/2), the growth factor
-    lambda^(N(1-eps)) and the growth target D_0 lambda^(N(1-eps)).  Past
-    this N one of them is subnormal, zero or infinite, and the checks
-    would run on values that have lost their precision.
+    lambda^(N(1-eps)), the growth target D_0 lambda^(N(1-eps)) and the
+    bound C2 (lambda - delta)^(-N/2) (lambda - delta + 1)^N on A_N: a
+    slack overshoot below 1 grows A_k by at most lambda - delta + 1 per
+    step from A_0 = C2 sqrt(b_0).  Past this N one of them is subnormal,
+    zero or infinite, and the checks would run on values that have lost
+    their precision.
     """
     params.validate()
     lam, dl, eps = params.lam, params.delta, params.epsilon
@@ -153,6 +156,8 @@ def max_steps(params: RecurrenceParams) -> int:
     ]
     if lam - dl > 1.0:  # otherwise the heights are refused as not increasing
         caps.append(-lo / math.log(lam - dl))
+        a_rate = math.log(lam - dl + 1.0) - 0.5 * math.log(lam - dl)
+        caps.append((hi - log_c2) / a_rate)
     rate = (1.0 - eps) * math.log(lam) - 0.5 * math.log(lam + dl)
     if rate != 0.0:
         caps.append(((hi if rate > 0.0 else lo) - log_c2) / rate)

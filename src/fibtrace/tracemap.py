@@ -84,21 +84,22 @@ def line_point(E: float, coupling: float) -> np.ndarray:
     return np.array([(E - coupling) / 2.0, E / 2.0, 1.0])
 
 
-def per2_point(x: float, exclusion_band: float = PER2_POLE_BAND) -> np.ndarray:
-    """Point (x, x/(2x-1), x) on the period-2 curve.
+def per2_point(x, exclusion_band: float = PER2_POLE_BAND) -> np.ndarray:
+    """Point (x, x/(2x-1), x) on the period-2 curve; n values of x give (n, 3).
 
     The curve has a pole at x = 1/2; arguments within ``exclusion_band``
     of it are rejected because the y-coordinate loses all accuracy there.
     """
-    x = float(x)
-    if not np.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    if abs(x - 0.5) < exclusion_band:
+    near = np.abs(x - 0.5) < exclusion_band
+    if np.any(near):
         raise ValueError(
-            f"x={x} is within {exclusion_band} of the pole of the "
+            f"x={x[near][0]} is within {exclusion_band} of the pole of the "
             "period-2 curve at x=1/2"
         )
-    return np.array([x, x / (2.0 * x - 1.0), x])
+    return np.stack([x, x / (2.0 * x - 1.0), x], axis=-1)
 
 
 def singular_points() -> np.ndarray:

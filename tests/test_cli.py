@@ -1,8 +1,12 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from fibtrace import cli
 
 
 def run_cli(*args):
@@ -72,6 +76,10 @@ def test_negative_dimension_resolution_exits_2_naming_field(tmp_path):
         (("subshift", "--set", "n=nan"), None, "n:"),
         (("dimension", "--set", "mode=sweep", "--set", "couplings=2 nan"),
          None, "couplings:"),
+        (("dimension", "--set", "mode=sweep", "--set", "couplings=4 16",
+          "--set", "k=9"), None, "couplings: must be >= 16.0, got 4.0"),
+        (("mesh", "--set", "coupling=0.1", "--set", "per2=maybe"), None, "per2:"),
+        (("dimension", "--set", "mode=box", "--set", "coupling=1"), None, "mode:"),
     ],
 )
 def test_config_errors_exit_2_naming_field(tmp_path, args, ini, needle):
@@ -199,6 +207,21 @@ def test_certify_recurrence_n_is_bounded(tmp_path, n, code):
         assert "n: must be <= 736" in r.stderr
 
 
+@pytest.mark.parametrize("n, code", [(1023, 0), (1024, 2), (8000, 2)])
+def test_certify_recurrence_n_is_bounded_near_lambda_1(tmp_path, n, code):
+    # near lambda = 1 the bound on an overshooting A_k, not the heights,
+    # caps n; past it A_k can overflow with RuntimeWarnings
+    r = run_cli(
+        "certify", "--out", str(tmp_path / "c.json"), "--seed", "1",
+        "--set", "kind=recurrence", "--set", "lam=1.01", "--set", f"n={n}",
+        "--set", "slack_schedules=3",
+    )
+    assert r.returncode == code
+    assert "Warning" not in r.stderr
+    if code == 2:
+        assert "n: must be <= 1023" in r.stderr
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -211,3 +234,84 @@ def test_determinism_byte_identical(tmp_path):
         assert r.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def run_main(tmp_path, capsys, *args):
+    """``cli.main`` in-process: exit code, stderr and the output path."""
+    out = tmp_path / "x.json"
+    code = cli.main([*args, "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+#: a valid value for each required field, so that one other field can fail
+REQUIRED = {"coupling": "0.1", "ratio": "0.3", "couplings": "16"}
+
+
+def _past_bounds(field):
+    """The values just past each bound of a numeric field, as config text."""
+    for bound, away in ((field.lo, -math.inf), (field.hi, math.inf)):
+        if bound is None:
+            continue
+        if field.type is int:
+            yield str(bound + (1 if away > 0 else -1))
+        else:
+            yield repr(float(bound) if field.open else math.nextafter(bound, away))
+
+
+def _bound_cases():
+    for table, fields in cli.FIELDS.items():
+        command, _, choice = table.partition(" ")
+        for name, field in fields.items():
+            for bad in _past_bounds(field):
+                given = {key: REQUIRED[key] for key, f in fields.items()
+                         if f.default is None and key != name}
+                sets = [f"{key}={val}" for key, val in given.items()]
+                if choice:
+                    sets.append(choice)
+                sets.append(f"{name}={bad}")
+                argv = [command, *(a for s in sets for a in ("--set", s))]
+                case = f"{table.replace(' ', '-')}:{name}={bad}"
+                yield pytest.param(argv, name, id=case)
+
+
+@pytest.mark.parametrize("argv, name", list(_bound_cases()))
+def test_value_past_each_bound_exits_2_naming_field(tmp_path, capsys, argv, name):
+    code, err, _ = run_main(tmp_path, capsys, *argv)
+    assert code == 2
+    assert f"config error: {name}: must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, key", [
+    (("spectrum", "--set", "coupling=1", "--set", "K=12"), "K"),
+    (("certify", "--set", "kind=model", "--set", "coupling=0.05"), "coupling"),
+])
+def test_unknown_key_exits_2_naming_key(tmp_path, capsys, args, key):
+    code, err, _ = run_main(tmp_path, capsys, *args)
+    assert code == 2
+    assert f"config error: {key}: not a field of" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_records_every_resolved_field(tmp_path, capsys):
+    code, _, out = run_main(tmp_path, capsys, "spectrum", "--set", "coupling=1")
+    assert code == 0
+    config = json.loads(out.read_text())["config"]
+    assert config == {"coupling": "1.0", "k": "10", "resolution": "0.0001"}
+
+
+def test_readme_field_table_matches_the_code():
+    # every row of README's CLI field table is "| table | field | type |
+    # default | bound |"; the rows and the code's tables must agree
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = set()
+    for line in readme.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].split(" ")[0] in cli.COMMANDS:
+            rows.add((cells[0], cells[1], cells[3]))
+    code = {
+        (table, name, "required" if f.default is None else cli._record(f.default))
+        for table, fields in cli.FIELDS.items()
+        for name, f in fields.items()
+    }
+    assert rows == code

@@ -202,12 +202,17 @@ def test_zero_slack_schedules():
 
 
 def _quantities(p, N):
-    """b_0, the default D_0, the growth factor and the growth target at N."""
+    """b_0, the default D_0, the growth factor, the growth target and the
+    bound on A_N of a run_aA whose slack overshoots by just under 1 at N."""
+    lam_dl = p.lam - p.delta
     with np.errstate(all="ignore"):
         b0 = recurrences.geometric_heights(p, N)[0]
         d0 = p.c2 * (p.lam + p.delta) ** (-N / 2.0)
         growth = np.float64(p.lam) ** (N * (1.0 - p.epsilon))
-        return np.array([b0, d0, growth, d0 * growth])
+        a_bound = np.exp(
+            math.log(p.c2) + N * math.log(lam_dl + 1.0) - N / 2.0 * math.log(lam_dl)
+        )
+        return np.array([b0, d0, growth, d0 * growth, a_bound])
 
 
 @pytest.mark.parametrize("params", [
@@ -223,12 +228,27 @@ def test_max_steps_is_the_last_normal_n(params):
     at, past = _quantities(params, n_max), _quantities(params, n_max + 1)
     assert np.all(np.isfinite(at) & (at >= tiny))
     assert not np.all(np.isfinite(past) & (past >= tiny))
+    overshoot = np.zeros((n_max, 2))
+    overshoot[:, 1] = np.nextafter(1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         recurrences.run_dD(params, n_max)
+        runs = recurrences.run_aA(params, n_max, slack_schedule=overshoot)
+    assert np.all(np.isfinite(runs.large))
     for run in (recurrences.run_dD, recurrences.run_aA):
         with pytest.raises(ValueError, match=f"N must be <= {n_max}"):
             run(params, n_max + 1)
+
+
+def test_max_steps_bounds_the_overshooting_a_run():
+    # near lambda = 1 the bound on an overshooting A_N, not the heights or
+    # D_0, caps N
+    p = RecurrenceParams(lam=1.01)
+    assert recurrences.max_steps(p) == 1023
+    assert 1023 == math.floor(
+        math.log(np.finfo(float).max)
+        / (math.log(p.lam - p.delta + 1.0) - 0.5 * math.log(p.lam - p.delta))
+    )
 
 
 def test_max_steps_of_the_default_parameters():

@@ -65,6 +65,16 @@ def test_per2_pole_is_rejected():
     per2_point(0.5 + 2.0 * PER2_POLE_BAND)  # just outside the band is fine
 
 
+def test_per2_point_takes_an_array():
+    xs = np.array([-2.0, -0.3, 0.49, 0.51, 0.9, 3.0])
+    pts = per2_point(xs)
+    assert per2_point(0.9).shape == (3,) and pts.shape == (6, 3)
+    assert np.array_equal(pts, np.stack([per2_point(x) for x in xs]))
+    for bad in (0.5 + 0.5 * PER2_POLE_BAND, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            per2_point(np.append(xs, bad))
+
+
 def test_singular_orbit_structure():
     orbit = singular_orbit()
     pts = orbit["points"]
