@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import BandSet
+from .spectrum import MAX_LEVEL, _level_bands
 
 __all__ = [
     "DimensionEstimate",
@@ -161,23 +162,24 @@ def asymptote_check(
     The product approaches log(1 + sqrt(2)) ~ 0.8814 as V grows; no rate
     is known, so callers should treat this as a trend, not a limit.
     """
-    from .spectrum import approximant_chain
-
+    if not 1 <= k < MAX_LEVEL:
+        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL - 1}")
     rows = []
     for V in V_list:
         V = float(V)
         if V < 16.0:
             raise ValueError("asymptote check requires V >= 16")
-        chain = approximant_chain(k + 1, V)
+        # a level below k is solved only when the back-off reaches it
+        levels = {j: _level_bands(j, V) for j in (k, k + 1)}
         j = k
-        while j > 2:
-            cover = chain[j - 1].union(chain[j])
+        while True:
+            cover = levels[j].union(levels[j + 1])
             lo, hi = cover.extent
             ulp = math.ulp(max(abs(lo), abs(hi)))
-            if cover.min_width > 100.0 * ulp:
+            if j <= 2 or cover.min_width > 100.0 * ulp:
                 break
             j -= 1
-        cover = chain[j - 1].union(chain[j])
+            levels[j] = _level_bands(j, V)
         cover.generation = j
         grid = eps_grid if eps_grid is not None else auto_scale_grid(cover)
         est = box_dimension(cover, grid)

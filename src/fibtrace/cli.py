@@ -78,11 +78,13 @@ FIELDS: dict[str, dict[str, Field]] = {
         "k": Field(int, 10, 2, MAX_K),
     },
     "certify kind=recurrence": {
-        "c1": Field(float, 1.0),
-        "c2": Field(float, 1.0),
-        "lam": Field(float, float(cert.LAMBDA_BIG)),
-        "epsilon": Field(float, 0.1),
-        "delta": Field(float, 1e-3),
+        # the bounds RecurrenceParams.validate checks; the cross-field
+        # lam - delta > 1 is checked in cmd_certify
+        "c1": Field(float, 1.0, 0.0),
+        "c2": Field(float, 1.0, 0.0, open=True),
+        "lam": Field(float, float(cert.LAMBDA_BIG), 1.0, open=True),
+        "epsilon": Field(float, 0.1, 0.0, 0.25, open=True),
+        "delta": Field(float, 1e-3, 0.0),
         "n": Field(int, 200, 1),
         "slack_schedules": Field(int, 100, 0),
     },
@@ -235,6 +237,9 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
 def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
     rng = np.random.default_rng(seed)
     if p["kind"] == "recurrence":
+        if p["lam"] - p["delta"] <= 1.0:
+            raise ConfigError(f"delta: must be < lam - 1 at lam = {p['lam']}, "
+                              f"got {p['delta']}")
         names = ("c1", "c2", "lam", "epsilon", "delta")
         params = recurrences.RecurrenceParams(**{name: p[name] for name in names})
         N, n_max = p["n"], recurrences.max_steps(params)
@@ -364,8 +369,7 @@ def main(argv=None) -> int:
     meta = {"tool": "fibtrace", "version": __version__, "command": args.command}
     payload = {**meta, "config": config, **result}
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -46,6 +46,8 @@ class RecurrenceParams:
             raise ValueError("epsilon must be in (0, 1/4)")
         if self.delta < 0.0:
             raise ValueError("delta must be >= 0")
+        if self.lam - self.delta <= 1.0:
+            raise ValueError("lambda - delta must be > 1")
         if self.c1 < 0.0 or self.c2 <= 0.0:
             raise ValueError("C1 must be >= 0 and C2 > 0")
 
@@ -153,11 +155,9 @@ def max_steps(params: RecurrenceParams) -> int:
     caps = [
         hi / ((1.0 - eps) * math.log(lam)),
         2.0 * (log_c2 - lo) / math.log(lam + dl),
+        -lo / math.log(lam - dl),
+        (hi - log_c2) / (math.log(lam - dl + 1.0) - 0.5 * math.log(lam - dl)),
     ]
-    if lam - dl > 1.0:  # otherwise the heights are refused as not increasing
-        caps.append(-lo / math.log(lam - dl))
-        a_rate = math.log(lam - dl + 1.0) - 0.5 * math.log(lam - dl)
-        caps.append((hi - log_c2) / a_rate)
     rate = (1.0 - eps) * math.log(lam) - 0.5 * math.log(lam + dl)
     if rate != 0.0:
         caps.append(((hi if rate > 0.0 else lo) - log_c2) / rate)

@@ -222,6 +222,24 @@ def test_certify_recurrence_n_is_bounded_near_lambda_1(tmp_path, n, code):
         assert "n: must be <= 1023" in r.stderr
 
 
+@pytest.mark.parametrize("sets, field", [
+    (("delta=3",), "delta"),
+    (("lam=1.2", "delta=0.5"), "delta"),
+    (("lam=1.5", "delta=0.5"), "delta"),
+    (("lam=0.5",), "lam"),
+])
+def test_certify_recurrence_needs_lam_minus_delta_above_1(tmp_path, sets, field):
+    # these once ran into RuntimeWarnings and exit 3, or named `lambda`
+    r = run_cli(
+        "certify", "--out", str(tmp_path / "c.json"), "--seed", "1",
+        "--set", "kind=recurrence", *(a for s in sets for a in ("--set", s)),
+    )
+    assert r.returncode == 2
+    assert f"config error: {field}: must be" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

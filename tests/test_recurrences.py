@@ -25,6 +25,12 @@ def test_param_validation():
         RecurrenceParams(delta=-1.0).validate()
     with pytest.raises(ValueError):
         RecurrenceParams(c2=0.0).validate()
+    # the heights (lambda - delta)^(k - N) must grow
+    for lam, delta in ((2.618, 3.0), (1.2, 0.5), (1.5, 0.5)):
+        with pytest.raises(ValueError, match="lambda - delta must be > 1"):
+            RecurrenceParams(lam=lam, delta=delta).validate()
+        with pytest.raises(ValueError, match="lambda - delta must be > 1"):
+            recurrences.max_steps(RecurrenceParams(lam=lam, delta=delta))
     with pytest.raises(ValueError):
         recurrences.run_dD(RecurrenceParams(), 0)
 

@@ -91,6 +91,63 @@ def test_band_edges_are_where_half_trace_is_one():
             assert np.max(np.abs(np.abs(x) - 1.0)) < 1e-8
 
 
+def _dense_level(j, V):
+    """Band edges of level j from the two dense F_j x F_j solves, the oracle
+    for the mirror blocks of ``_level_bands``; an (F_j, 2) sorted array."""
+    h = np.diag(V * spectrum._fibonacci_word(j))
+    idx = np.arange(len(h) - 1)
+    h[idx, idx + 1] = h[idx + 1, idx] = 1.0
+    edges = []
+    for corner in (1.0, -1.0):
+        g = h.copy()
+        g[0, -1] += corner  # adds to the diagonal when F_j = 1
+        g[-1, 0] += corner
+        edges.append(np.linalg.eigvalsh(g))
+    return np.sort(np.concatenate(edges)).reshape(-1, 2)
+
+
+def test_fibonacci_word_is_its_own_mirror_image():
+    # w_j is fixed by i -> (F_{j-1} - 3 - i) mod F_j at every level
+    for j in range(1, spectrum.MAX_LEVEL + 1):
+        w = spectrum._fibonacci_word(j)
+        n = spectrum.fibonacci(j)
+        mirror = (spectrum.fibonacci(j - 1) - 3 - np.arange(n)) % n
+        assert len(w) == n and np.array_equal(w[mirror], w)
+        # a centre one site off is no symmetry from F_j = 3 on
+        if n > 2:
+            assert not np.array_equal(w[(mirror + 1) % n], w)
+
+
+@pytest.mark.parametrize("V", [0.5, 1.0, 3.0])
+def test_mirror_blocks_match_the_dense_solve_at_small_levels(V):
+    # F_j = 1, 2, 3, 5, 8, 13: the single site, the two-site ring, and
+    # rings of odd F_j (one fixed site and one fixed hop) and of even F_j
+    # (two fixed sites)
+    for j in range(1, 7):
+        folded = spectrum._level_bands(j, V).intervals
+        dense = _dense_level(j, V)
+        assert folded.shape == (spectrum.fibonacci(j), 2)
+        assert np.max(np.abs(folded - dense)) <= 8 * np.finfo(float).eps * (4 + V)
+
+
+@pytest.mark.parametrize("V", [0.1, 1.0, 4.0, 16.0, 32.0, 64.0, 128.0])
+def test_mirror_blocks_match_the_dense_solve(V):
+    # wherever the dense solve resolves every band to 4 ulp, the blocks give
+    # the same F_j bands with edges within 64 eps (4 + V) of its edges
+    compared = []
+    for j in range(1, 15):
+        dense = _dense_level(j, V)
+        width = dense[:, 1] - dense[:, 0]
+        if np.any(width < 4 * np.spacing(np.abs(dense).max(axis=1))):
+            continue  # the float64 floor: the dense solve already loses bands
+        folded = spectrum._level_bands(j, V)
+        assert len(folded) == spectrum.fibonacci(j)
+        bound = 64 * np.finfo(float).eps * (4 + V)
+        assert np.max(np.abs(folded.intervals - dense)) <= bound
+        compared.append(j)
+    assert compared[:10] == list(range(1, 11))
+
+
 def _half_trace_zeros(k, V):
     """Zeros of x_k: eigenvalues of the period-F_k operator at Bloch phase pi/2."""
     words = [[0.0], [1.0]]
