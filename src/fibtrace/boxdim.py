@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectrum
 from .intervals import BandSet
-from .spectrum import MAX_LEVEL, _level_bands
 
 __all__ = [
     "DimensionEstimate",
@@ -149,44 +149,27 @@ def auto_scale_grid(b: BandSet, ratio: float = 0.5) -> list[float]:
     return grid
 
 
-def asymptote_check(
-    V_list,
-    k: int,
-    eps_grid=None,
-) -> list[dict]:
+def asymptote_check(V_list, k: int) -> list[dict]:
     """Dimension of the spectrum against the strong-coupling limit.
 
-    For each coupling V >= 16 computes a level-k spectral cover (backing
-    off to a smaller level where band widths fall under floating-point
-    resolution), estimates its box dimension, and tabulates dim * log V.
-    The product approaches log(1 + sqrt(2)) ~ 0.8814 as V grows; no rate
-    is known, so callers should treat this as a trend, not a limit.
+    For each coupling V >= 16 takes the gap-free spectral cover of
+    ``spectrum.spectrum_cover``, which backs off from level k to the
+    deepest level pair float64 resolves, estimates its box dimension,
+    and tabulates dim * log V with the level used.  The product
+    approaches log(1 + sqrt(2)) ~ 0.8814 as V grows; no rate is known,
+    so callers should treat this as a trend, not a limit.
     """
-    if not 1 <= k < MAX_LEVEL:
-        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL - 1}")
     rows = []
     for V in V_list:
         V = float(V)
         if V < 16.0:
             raise ValueError("asymptote check requires V >= 16")
-        # a level below k is solved only when the back-off reaches it
-        levels = {j: _level_bands(j, V) for j in (k, k + 1)}
-        j = k
-        while True:
-            cover = levels[j].union(levels[j + 1])
-            lo, hi = cover.extent
-            ulp = math.ulp(max(abs(lo), abs(hi)))
-            if j <= 2 or cover.min_width > 100.0 * ulp:
-                break
-            j -= 1
-            levels[j] = _level_bands(j, V)
-        cover.generation = j
-        grid = eps_grid if eps_grid is not None else auto_scale_grid(cover)
-        est = box_dimension(cover, grid)
+        cover = spectrum.spectrum_cover(V, k, 0.0)
+        est = box_dimension(cover, auto_scale_grid(cover))
         rows.append(
             {
                 "V": V,
-                "level": j,
+                "level": cover.generation,
                 "dim": est.value,
                 "dim_log_V": est.value * math.log(V),
                 "residual": est.regression_residual,

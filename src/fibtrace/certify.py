@@ -219,7 +219,6 @@ class ExpansionReport:
     exit_time: int
     status: str                  # "ok" or "inconclusive"
     growth_ratios: np.ndarray    # |Df^k v| / |v| for k = 1..N
-    final_tilt: float            # |u_xy| / |u_z|
     expansion_at_exit_ok: bool
     thin_cone_ok: bool
     expansion_along_orbit_ok: bool | None  # None when eta-condition unmet
@@ -325,7 +324,6 @@ def expansion_certificates(
                     exit_time=max_iter,
                     status="inconclusive",
                     growth_ratios=per_row[i],
-                    final_tilt=np.nan,
                     expansion_at_exit_ok=False,
                     thin_cone_ok=False,
                     expansion_along_orbit_ok=None,
@@ -338,7 +336,6 @@ def expansion_certificates(
                 exit_time=k,
                 status="ok",
                 growth_ratios=per_row[i],
-                final_tilt=u_xy[i] / u_z[i] if u_z[i] > 0 else np.inf,
                 expansion_at_exit_ok=bool(g_exit[i] >= rate**k),
                 thin_cone_ok=bool(
                     u_xy[i] < 2.0 * np.sqrt(m.delta) * u_z[i]

@@ -7,7 +7,8 @@ rerun produces byte-identical output files, and a ``seed`` config key is
 refused.  ``FIELDS`` gives each command's fields (per ``dimension`` mode
 and ``certify`` kind) with type, default and bounds; other keys are
 refused.  Every output records the value every field resolved to, the
-seed and the toolkit version.
+seed and the toolkit version; spectral outputs also record the level
+their cover reached.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
 error, 3 runtime numeric failure.
@@ -94,12 +95,13 @@ FIELDS: dict[str, dict[str, Field]] = {
         "n0": Field(int, 200, 1),
     },
     "certify kind=empirical": {
-        "coupling": Field(float, lo=1e-12),
+        # the bounds empirical_trace_certificate checks
+        "coupling": Field(float, None, 1e-12, 0.5),
         "samples": Field(int, 1000, 1),
         "n": Field(int, 30, 1),
-        "epsilon": Field(float, 0.1),
-        "zeta": Field(float, 0.1),
-        "singular_radius": Field(float, 0.05),
+        "epsilon": Field(float, 0.1, 0.0, 0.25, open=True),
+        "zeta": Field(float, 0.1, 0.0, 1.0, open=True),
+        "singular_radius": Field(float, 0.05, 0.0),
     },
     "mesh": {
         "coupling": Field(float, lo=0.0),
@@ -211,6 +213,7 @@ def cmd_spectrum(p: dict, out: str, seed: int | None) -> dict:
     return {
         "bands": [{"lo": lo, "hi": hi, "generation": gen} for lo, hi in edges],
         "band_count": len(cover),
+        "level": gen,
         "measure": _fmt(cover.measure),
     }
 
@@ -223,11 +226,12 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
             {"level": r["level"], **{key: _fmt(r[key]) for key in floats}} for r in rows
         ]}
     if p["mode"] == "cantor":
-        bands = boxdim.cantor_bands(p["ratio"], p["depth"])
+        bands, level = boxdim.cantor_bands(p["ratio"], p["depth"]), {}
     else:
         bands = spectrum.spectrum_cover(p["coupling"], p["k"], p["resolution"])
+        level = {"level": bands.generation}
     est = boxdim.box_dimension(bands, boxdim.auto_scale_grid(bands))
-    return {"estimate": {
+    return {**level, "estimate": {
         "value": _fmt(est.value), "residual": _fmt(est.regression_residual),
         "scale_range": [_fmt(est.scale_range[0]), _fmt(est.scale_range[1])],
         "counts": [[_fmt(e), n] for e, n in est.counts],

@@ -206,6 +206,12 @@ def empirical_trace_certificate(
         raise ValueError("empirical certificate expects 0 < V <= 0.5")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
+    if not 0.0 < epsilon < 0.25:
+        raise ValueError("epsilon must be in (0, 0.25)")
+    if not 0.0 < zeta < 1.0:
+        raise ValueError("zeta must be in (0, 1)")
+    if not singular_radius >= 0.0:
+        raise ValueError("singular_radius must be >= 0")
     rng = np.random.default_rng(rng)
     pts = sample_bounded_points(
         coupling, sample_size, n_forward, norm_cap, rng=rng

@@ -21,6 +21,7 @@ are solved apart, a quarter of the cubic work of one F_k x F_k solve.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -194,25 +195,33 @@ def approximant_chain(k: int, coupling: float) -> list[BandSet]:
 def spectrum_cover(
     coupling: float, k: int, resolution: float = 1e-4
 ) -> BandSet:
-    """Union of the level-k and level-(k+1) band sets as a spectral cover.
+    """Union of the deepest resolved level pair j, j + 1 with j <= k.
 
-    Gaps narrower than ``resolution`` are merged.  For V > 0 the two
-    levels must hold exactly F_k and F_{k+1} bands; a level that lost
-    bands to float64 precision raises ValueError.
+    A pair is resolved when, for V > 0, its two levels hold exactly F_j
+    and F_{j+1} bands, and the narrowest band of their gap-free union is
+    wider than 100 ulp of the union's largest |edge|.  From j = k the
+    cover backs off one level at a time, each level solved once, and
+    raises ValueError only when no pair down to j = 1 is resolved.  Gaps
+    narrower than ``resolution`` are then merged, and ``generation``
+    records the level j actually used.
     """
-    if k < 1:
-        raise ValueError("approximant index must be >= 1")
-    if k + 1 > MAX_LEVEL:
-        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL}")
-    levels = [_level_bands(j, float(coupling)) for j in (k, k + 1)]
-    if coupling > 0:
-        for bands in levels:
-            j = bands.generation
-            if len(bands) != fibonacci(j):
-                raise ValueError(
-                    f"level {j} resolves {len(bands)} of "
-                    f"F_{j} = {fibonacci(j)} bands at V = {coupling:g}"
-                )
-    cover = levels[0].union(levels[1], gap_tol=resolution)
-    cover.generation = k
+    if not 1 <= k < MAX_LEVEL:
+        raise ValueError(f"approximant index must be in 1..{MAX_LEVEL - 1}")
+    coupling = float(coupling)
+    upper = _level_bands(k + 1, coupling)
+    for j in range(k, 0, -1):
+        lower = _level_bands(j, coupling)
+        cover = lower.union(upper)
+        counted = coupling <= 0 or (
+            len(lower) == fibonacci(j) and len(upper) == fibonacci(j + 1)
+        )
+        lo, hi = cover.extent
+        if counted and cover.min_width > 100.0 * math.ulp(max(abs(lo), abs(hi))):
+            break
+        upper = lower
+    else:
+        raise ValueError(f"no level pair j, j + 1 with j <= {k} is resolved "
+                         f"in float64 at V = {coupling:g}")
+    cover.intervals = merge_intervals(cover.intervals, resolution)
+    cover.generation = j
     return cover

@@ -111,23 +111,14 @@ def invert_semiconj(p) -> np.ndarray:
     y = np.clip(p[..., 1], -1.0, 1.0)
     z = np.clip(p[..., 2], -1.0, 1.0)
     tau = 2.0 * np.pi
-    th0 = np.arccos(y) / tau
-    ph0 = np.arccos(z) / tau
-    best = None
-    best_err = None
-    for sth in (1.0, -1.0):
-        for sph in (1.0, -1.0):
-            th = np.mod(sth * th0, 1.0)
-            ph = np.mod(sph * ph0, 1.0)
-            err = np.abs(np.cos(tau * (th + ph)) - p[..., 0])
-            cand = np.stack([th, ph], axis=-1)
-            if best is None:
-                best, best_err = cand, err
-            else:
-                take = err < best_err
-                best = np.where(take[..., None], cand, best)
-                best_err = np.minimum(err, best_err)
-    return best
+    t0 = np.stack([np.arccos(y) / tau, np.arccos(z) / tau], axis=-1)
+    # the four choices (+-theta, +-phi) on a leading axis; argmin keeps
+    # the first of equally good candidates
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    cand = np.mod(signs.reshape((4,) + (1,) * (t0.ndim - 1) + (2,)) * t0, 1.0)
+    err = np.abs(np.cos(tau * (cand[..., 0] + cand[..., 1])) - p[..., 0])
+    pick = np.argmin(err, axis=0)
+    return np.take_along_axis(cand, pick[None, ..., None], axis=0)[0]
 
 
 def check_semiconjugacy(grid_resolution: int = 512) -> float:

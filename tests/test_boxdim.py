@@ -144,3 +144,9 @@ def test_asymptote_check_single_value():
     r = rows[0]
     assert 0.5 < r["dim_log_V"] < 1.3
     assert r["level"] <= 8 and np.isfinite(r["residual"])
+
+
+def test_sweep_levels_back_off_with_coupling():
+    # the cover backs off where float64 stops resolving level 11's bands
+    rows = boxdim.asymptote_check([16.0, 32.0, 64.0, 128.0], 10)
+    assert [r["level"] for r in rows] == [10, 10, 9, 8]

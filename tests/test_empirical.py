@@ -98,6 +98,18 @@ def test_certificate_input_validation():
         empirical.empirical_trace_certificate(0.05, sample_size=0)
 
 
+# zeta bounds the cone as torus.cone_member_2d requires, epsilon the
+# target rate mu^(n (1 - 4 eps)), and a negative radius means nothing
+@pytest.mark.parametrize("kw", [
+    {"zeta": 0.0}, {"zeta": -1.0}, {"zeta": 1.0},
+    {"epsilon": 0.0}, {"epsilon": 0.25}, {"epsilon": 5.0},
+    {"singular_radius": -1.0},
+])
+def test_certificate_refuses_meaningless_parameters(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        empirical.empirical_trace_certificate(0.05, sample_size=10, **kw)
+
+
 def test_certificate_is_deterministic_given_seed():
     kw = dict(sample_size=60, n_forward=15, singular_radius=0.2)
     a = empirical.empirical_trace_certificate(0.05, rng=17, **kw)

@@ -68,6 +68,20 @@ def test_bandset_properties():
     assert b.extent == (0.0, 2.25)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    pairs=st.lists(st.tuples(_endpoint, _endpoint).map(sorted), max_size=40),
+    gap_tol=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 2.0)),
+)
+def test_merging_a_gap_free_merge_again_is_one_merge(pairs, gap_tol):
+    # spectrum_cover checks the gap-free union and merges it again at its
+    # resolution; that must equal one merge at the resolution, bit for bit
+    once = merge_intervals(pairs, gap_tol)
+    twice = merge_intervals(merge_intervals(pairs, 0.0), gap_tol)
+    assert once.shape == twice.shape
+    assert np.array_equal(once.view(np.int64), twice.view(np.int64))
+
+
 # np.sum's pairwise order gives a different last bit on all but (1, 12)
 @pytest.mark.parametrize("coupling, k", [(1.0, 12), (1.0, 8), (0.5, 10), (0.5, 12)])
 def test_measure_sums_left_to_right(coupling, k):

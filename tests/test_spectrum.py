@@ -1,7 +1,13 @@
+import json
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from fibtrace import spectrum
+from fibtrace.intervals import merge_intervals
 
 
 def test_fibonacci_numbers():
@@ -170,6 +176,71 @@ def test_strong_coupling_cover_holds_every_zero():
     assert all(cover.contains(z) for z in zeros)
 
 
+def _pair_is_resolved(lower, upper, V):
+    """The cover rule: for V > 0 levels j and j + 1 hold F_j and F_{j+1}
+    bands, and their gap-free union's narrowest band is wider than 100 ulp
+    of its largest |edge|."""
+    j = lower.generation
+    if V > 0 and (len(lower), len(upper)) != (
+        spectrum.fibonacci(j), spectrum.fibonacci(j + 1)
+    ):
+        return False
+    union = merge_intervals(np.concatenate([lower.intervals, upper.intervals]))
+    widths = union[:, 1] - union[:, 0]
+    return bool(widths.min() > 100.0 * math.ulp(np.abs(union).max()))
+
+
+@pytest.mark.parametrize("V, k", [(128.0, 12), (64.0, 15), (32.0, 16)])
+def test_cover_backs_off_past_the_float_floor(tmp_path, V, k):
+    cover = spectrum.spectrum_cover(V, k, 0.0)
+    j = cover.generation
+    assert 1 <= j < k
+    chain = spectrum.approximant_chain(j + 2, V)
+    lower, upper, deeper = chain[j - 1], chain[j], chain[j + 1]
+    assert _pair_is_resolved(lower, upper, V)
+    assert not _pair_is_resolved(upper, deeper, V)
+    assert np.array_equal(cover.intervals, lower.union(upper).intervals)
+    # the CLI reports the level it reached, without numpy warnings
+    out = tmp_path / "spec.json"
+    r = subprocess.run(
+        [sys.executable, "-m", "fibtrace.cli", "spectrum", "--out", str(out),
+         "--set", f"coupling={V}", "--set", f"k={k}"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert "Warning" not in r.stderr
+    assert json.loads(out.read_text())["level"] == j
+
+
+def test_dimension_of_an_unresolved_level_backs_off(tmp_path):
+    out = tmp_path / "dim.json"
+    r = subprocess.run(
+        [sys.executable, "-m", "fibtrace.cli", "dimension", "--out", str(out),
+         "--set", "mode=spectrum", "--set", "coupling=32", "--set", "k=16"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert "Warning" not in r.stderr
+    payload = json.loads(out.read_text())
+    assert payload["level"] == spectrum.spectrum_cover(32.0, 16, 1e-7).generation
+    assert payload["level"] < 16
+
+
+@pytest.mark.parametrize("V", [0.1, 1.0, 4.0, 16.0, 32.0, 64.0, 128.0])
+def test_every_cover_is_the_deepest_resolved_pair(V):
+    chain = spectrum.approximant_chain(15, V)
+    resolved = [None] + [
+        _pair_is_resolved(chain[j - 1], chain[j], V) for j in range(1, 15)
+    ]
+    for k in range(1, 15):
+        cover = spectrum.spectrum_cover(V, k, 0.0)
+        j = cover.generation
+        assert resolved[j] and not any(resolved[j + 1 : k + 1])
+        assert np.array_equal(
+            cover.intervals, chain[j - 1].union(chain[j]).intervals
+        )
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         spectrum.approximant_chain(0, 1.0)
@@ -177,6 +248,8 @@ def test_argument_validation():
         spectrum.approximant_chain(spectrum.MAX_LEVEL + 1, 1.0)
     with pytest.raises(ValueError):
         spectrum.spectrum_cover(1.0, 0)
+    with pytest.raises(ValueError):
+        spectrum.spectrum_cover(1.0, spectrum.MAX_LEVEL)
     with pytest.raises(ValueError):
         spectrum.half_trace_oracle(17, 0.0, 1.0)
     with pytest.raises(ValueError):

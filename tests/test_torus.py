@@ -45,6 +45,44 @@ def test_invert_semiconj_roundtrip():
     assert np.allclose(back, p, atol=1e-9)
 
 
+def _invert_semiconj_loop(p):
+    """The four sign choices tried one at a time, the first best kept."""
+    p = np.asarray(p, dtype=float)
+    tau = 2.0 * np.pi
+    th0 = np.arccos(np.clip(p[..., 1], -1.0, 1.0)) / tau
+    ph0 = np.arccos(np.clip(p[..., 2], -1.0, 1.0)) / tau
+    best = best_err = None
+    for sth in (1.0, -1.0):
+        for sph in (1.0, -1.0):
+            th, ph = np.mod(sth * th0, 1.0), np.mod(sph * ph0, 1.0)
+            err = np.abs(np.cos(tau * (th + ph)) - p[..., 0])
+            cand = np.stack([th, ph], axis=-1)
+            if best is None:
+                best, best_err = cand, err
+            else:
+                take = err < best_err
+                best = np.where(take[..., None], cand, best)
+                best_err = np.minimum(err, best_err)
+    return best
+
+
+def test_invert_semiconj_matches_the_candidate_loop():
+    rng = np.random.default_rng(9)
+    # off-surface points, S_0 images, exact ties at theta or phi = 0, 1/2,
+    # and a single point and a 2-d batch for the shapes
+    points = [
+        rng.uniform(-1.2, 1.2, size=(5000, 3)),
+        torus.semiconj(rng.uniform(0, 1, size=(2000, 2))),
+        torus.semiconj(np.array([[0.0, 0.0], [0.5, 0.25], [0.25, 0.5], [0.5, 0.5]])),
+        np.array([0.3, -0.2, 0.9]),
+        rng.uniform(-1.0, 1.0, size=(7, 5, 3)),
+    ]
+    for p in points:
+        got, want = torus.invert_semiconj(p), _invert_semiconj_loop(p)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_df_semiconj_matches_finite_differences():
     rng = np.random.default_rng(6)
     h = 1e-7
