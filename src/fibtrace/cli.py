@@ -223,7 +223,8 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
         rows = boxdim.asymptote_check(p["couplings"], p["k"])
         floats = ("V", "dim", "dim_log_V", "residual")
         return {"table": [
-            {"level": r["level"], **{key: _fmt(r[key]) for key in floats}} for r in rows
+            {"level": r["level"], "flagged": r["flagged"],
+             **{key: _fmt(r[key]) for key in floats}} for r in rows
         ]}
     if p["mode"] == "cantor":
         bands, level = boxdim.cantor_bands(p["ratio"], p["depth"]), {}
@@ -233,6 +234,7 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
     est = boxdim.box_dimension(bands, boxdim.auto_scale_grid(bands))
     return {**level, "estimate": {
         "value": _fmt(est.value), "residual": _fmt(est.regression_residual),
+        "flagged": est.flagged,
         "scale_range": [_fmt(est.scale_range[0]), _fmt(est.scale_range[1])],
         "counts": [[_fmt(e), n] for e, n in est.counts],
     }}

@@ -18,7 +18,8 @@ def merge_intervals(intervals, gap_tol: float = 0.0) -> np.ndarray:
     if not gap_tol >= 0:
         raise ValueError("gap_tol must be >= 0")
     ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    ivs = ivs[np.argsort(ivs[:, 0], kind="stable")]
+    # np.take gathers whole rows far faster than fancy indexing
+    ivs = np.take(ivs, np.argsort(ivs[:, 0], kind="stable"), axis=0)
     inverted = ivs[:, 1] < ivs[:, 0]
     if inverted.any():
         lo, hi = ivs[inverted][0]
@@ -103,6 +104,28 @@ class BandSet:
         )
         merged.generation = max(self.generation, other.generation)
         return merged
+
+    def close_gaps(self, gap_tol: float) -> "BandSet":
+        """The band set with every gap of width <= ``gap_tol`` closed.
+
+        Requires ``intervals`` sorted and disjoint, as ``BandSet`` keeps
+        them, so it runs in one pass with no sort.  The bands equal
+        ``merge_intervals(self.intervals, gap_tol)`` bit for bit.
+        """
+        if not gap_tol >= 0:
+            raise ValueError("gap_tol must be >= 0")
+        if not self:
+            return BandSet([], generation=self.generation)
+        # a band starts wherever lo clears the previous band's hi by more
+        # than gap_tol, and ends at the hi just before the next start
+        lo, hi = self.intervals.T
+        split = lo[1:] > hi[:-1] + gap_tol
+        closed = object.__new__(BandSet)
+        closed.intervals = np.column_stack(
+            [lo[np.r_[True, split]], hi[np.r_[split, True]]]
+        )
+        closed.generation = self.generation
+        return closed
 
     def intersect_window(self, lo: float, hi: float) -> "BandSet":
         """Restriction to the closed window [lo, hi]."""

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# merge_intervals is looked up here by perfbench/spans.py
+# merge_intervals is not called here, but perfbench/spans.py looks it up here
 from .intervals import BandSet, merge_intervals  # noqa: F401
 
 __all__ = [
@@ -222,6 +222,6 @@ def spectrum_cover(
     else:
         raise ValueError(f"no level pair j, j + 1 with j <= {k} is resolved "
                          f"in float64 at V = {coupling:g}")
-    cover.intervals = merge_intervals(cover.intervals, resolution)
+    cover = cover.close_gaps(resolution)
     cover.generation = j
     return cover

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibtrace import boxdim
+from fibtrace import boxdim, spectrum
 from fibtrace.intervals import BandSet
 
 
@@ -150,3 +150,82 @@ def test_sweep_levels_back_off_with_coupling():
     # the cover backs off where float64 stops resolving level 11's bands
     rows = boxdim.asymptote_check([16.0, 32.0, 64.0, 128.0], 10)
     assert [r["level"] for r in rows] == [10, 10, 9, 8]
+
+
+# a gap of half a box at scale i, one ulp either side of that, or a whole box
+_gap = st.tuples(
+    st.integers(0, 6), st.sampled_from(["half", "below half", "above half", "box"])
+)
+# a band of width q/32 of the finest scale (q = 0 is a point) that follows
+# the band before it by a gap, or starts or ends on a grid line of scale i
+_band = st.tuples(
+    st.sampled_from(["after gap", "starts on grid", "ends on grid"]),
+    _gap,
+    st.integers(0, 4),
+)
+
+
+def _gap_width(eps: float, kind: str) -> float:
+    half = 0.5 * eps
+    return {
+        "half": half,
+        "below half": np.nextafter(half, 0.0),
+        "above half": np.nextafter(half, np.inf),
+        "box": eps,
+    }[kind]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    eps_max=st.floats(1e-3, 10.0),
+    n=st.integers(5, 7),
+    start=_grid_point,
+    bands=st.lists(_band, min_size=1, max_size=30),
+)
+def test_gap_closed_counts_equal_counts_of_the_set(eps_max, n, start, bands):
+    grid = boxdim.geometric_scales(eps_max, n=n)
+    finest = grid[-1]
+    # every band is at most an eighth of the finest scale wide, so all
+    # scales stay above 4x the native resolution
+    (k, q), pairs = start, []
+    for how, (i, kind), q_width in bands:
+        eps, width = grid[min(i, n - 1)], q_width / 32 * finest
+        if not pairs:
+            lo = (k + q / 4) * finest
+        elif how == "after gap":
+            lo = pairs[-1][1] + _gap_width(eps, kind)
+        elif how == "starts on grid":
+            lo = (math.floor(pairs[-1][1] / eps) + 1) * eps
+        else:
+            hi = (math.floor((pairs[-1][1] + width) / eps) + 1) * eps
+            pairs.append((hi - width, hi))
+            continue
+        pairs.append((lo, lo + width))
+    b = BandSet(pairs)
+    est = boxdim.box_dimension(b, grid)
+    assert est.counts == [(e, boxdim.box_count(b, e)) for e in sorted(grid)]
+
+
+def test_a_point_on_a_grid_line_keeps_its_box():
+    # the point at 0.2 counts box [0.2, 0.3); closing the gap of 0.02 < eps/2
+    # before it would end the band at 0.2 and lose that box
+    b = BandSet([(0.17, 0.18), (0.2, 0.2)])
+    grid = boxdim.geometric_scales(0.8, n=5)
+    est = boxdim.box_dimension(b, grid)
+    assert est.counts == [(e, boxdim.box_count(b, e)) for e in sorted(grid)]
+    assert dict(est.counts)[0.1] == 2
+
+
+# the dimension benchmark's Cantor oracles and spectral covers
+@pytest.mark.parametrize(
+    "make, args",
+    [(boxdim.cantor_bands, (ratio, depth))
+     for ratio, depth in ((0.2, 16), (0.25, 15), (0.3, 14), (1.0 / 3.0, 16),
+                          (0.35, 15), (0.4, 14))]
+    + [(spectrum.spectrum_cover, (V, 11, 1e-7)) for V in (2.0, 6.0, 8.0, 12.0)],
+)
+def test_gap_closed_counts_on_benchmark_sets(make, args):
+    b = make(*args)
+    grid = boxdim.auto_scale_grid(b)
+    est = boxdim.box_dimension(b, grid)
+    assert est.counts == [(e, boxdim.box_count(b, e)) for e in sorted(grid)]

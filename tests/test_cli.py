@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fibtrace import cli
+from fibtrace import boxdim, cli
 
 
 def run_cli(*args):
@@ -252,6 +252,28 @@ def test_determinism_byte_identical(tmp_path):
         assert r.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("sets, flagged", [
+    # backs off to level 12 with residual 0.122 > RESIDUAL_FLAG
+    (("coupling=32", "k=16"), True),
+    (("coupling=2", "k=11", "resolution=1e-7"), False),
+])
+def test_dimension_records_the_residual_flag(tmp_path, sets, flagged):
+    out = tmp_path / "dim.json"
+    args = [a for s in ("mode=spectrum", *sets) for a in ("--set", s)]
+    r = run_cli("dimension", "--out", str(out), *args)
+    assert r.returncode == 0
+    assert json.loads(out.read_text())["estimate"]["flagged"] is flagged
+
+
+def test_dimension_sweep_rows_record_the_residual_flag(tmp_path):
+    out = tmp_path / "sweep.json"
+    r = run_cli("dimension", "--out", str(out), "--set", "mode=sweep",
+                "--set", "couplings=16", "--set", "k=8")
+    assert r.returncode == 0
+    (row,) = json.loads(out.read_text())["table"]
+    assert row["flagged"] is (float(row["residual"]) > boxdim.RESIDUAL_FLAG)
 
 
 def run_main(tmp_path, capsys, *args):

@@ -74,12 +74,33 @@ def test_bandset_properties():
     gap_tol=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 2.0)),
 )
 def test_merging_a_gap_free_merge_again_is_one_merge(pairs, gap_tol):
-    # spectrum_cover checks the gap-free union and merges it again at its
-    # resolution; that must equal one merge at the resolution, bit for bit
+    # merging a gap-free merge again at a tolerance must equal one merge at
+    # that tolerance, bit for bit
     once = merge_intervals(pairs, gap_tol)
     twice = merge_intervals(merge_intervals(pairs, 0.0), gap_tol)
     assert once.shape == twice.shape
     assert np.array_equal(once.view(np.int64), twice.view(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    pairs=st.lists(st.tuples(_endpoint, _endpoint).map(sorted), max_size=40),
+    gap_tol=st.one_of(st.sampled_from([0.0, 0.25, 0.5, np.inf]), st.floats(0.0, 2.0)),
+)
+def test_closing_gaps_is_one_merge(pairs, gap_tol):
+    # spectrum_cover and box_dimension close the gaps of a sorted disjoint
+    # set in one pass; that must equal one merge at the tolerance, bit for bit
+    closed = BandSet(pairs, generation=5).close_gaps(gap_tol)
+    merged = merge_intervals(pairs, gap_tol)
+    assert closed.generation == 5
+    assert closed.intervals.shape == merged.shape
+    assert np.array_equal(closed.intervals.view(np.int64), merged.view(np.int64))
+
+
+def test_close_gaps_rejects_bad_tolerance():
+    for gap_tol in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            BandSet([(0.0, 1.0)]).close_gaps(gap_tol)
 
 
 # np.sum's pairwise order gives a different last bit on all but (1, 12)
