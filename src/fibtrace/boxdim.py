@@ -61,6 +61,9 @@ def box_count(b: BandSet, eps: float) -> int:
     if not b:
         raise ValueError("empty band set has no box count")
     lo, hi = b.intervals.T
+    if max(map(abs, b.extent)) / eps >= 2.0**53:
+        raise ValueError(f"eps = {eps:g} puts box indices past 2^53, "
+                         "where float64 no longer holds them exactly")
     # open-overlap convention: box j counts iff j*eps < hi and
     # (j+1)*eps > lo; a zero-width band counts the box holding it
     base = np.floor(lo / eps)
@@ -150,11 +153,14 @@ def auto_scale_grid(b: BandSet, ratio: float = 0.5) -> list[float]:
 
     Runs from a quarter of the diameter down to 4x the native
     resolution, the window where the set's Cantor structure is actually
-    resolved by the approximation.
+    resolved by the approximation, and no lower than 2^-52 of the
+    largest |edge|, about its float64 spacing, where box indices stay
+    below 2^52.  A single band has native resolution 0 and stops there.
     """
     lo, hi = b.extent
     eps = (hi - lo) / 4.0
-    floor = 4.0 * b.native_resolution
+    floor = max(4.0 * b.native_resolution,
+                np.finfo(float).eps * max(abs(lo), abs(hi)))
     grid = []
     while eps >= floor and len(grid) < 64:
         grid.append(eps)

@@ -218,7 +218,6 @@ def make_model_map(
 class ExpansionReport:
     exit_time: int
     status: str                  # "ok" or "inconclusive"
-    growth_ratios: np.ndarray    # |Df^k v| / |v| for k = 1..N
     expansion_at_exit_ok: bool
     thin_cone_ok: bool
     expansion_along_orbit_ok: bool | None  # None when eta-condition unmet
@@ -281,8 +280,6 @@ def expansion_certificates(
     w_exit = np.zeros((n, 3))
     g_exit = np.zeros(n)
     dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
-    # growth ratios of the rows still stepping, one array per step
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
     # the rows still stepping, and their points, vectors, starting
     # norms and dips, compacted as rows exit
     active = np.arange(n)
@@ -294,7 +291,6 @@ def expansion_certificates(
             break
         q, w = m.push(q, w)
         g = np.linalg.norm(w, axis=-1) / v0_norm
-        steps.append((active, g))
         dip |= g < 0.5 * eta * rate**k
         out = q[:, 2] > 1.0
         if out.any():
@@ -308,12 +304,6 @@ def expansion_certificates(
             v0_norm, dip = v0_norm[keep], dip[keep]
     exited = np.ones(n, dtype=bool)
     exited[active] = False
-    # row i stepped exit_time[i] times; lay its ratios out contiguously
-    starts = np.concatenate([[0], np.cumsum(exit_time)])
-    ratios = np.empty(starts[-1])
-    for k, (rows, g) in enumerate(steps):
-        ratios[starts[rows] + k] = g
-    per_row = np.split(ratios, starts[1:-1])
     u_xy = np.linalg.norm(w_exit[:, :2], axis=-1)
     u_z = np.abs(w_exit[:, 2])
     reports = []
@@ -323,7 +313,6 @@ def expansion_certificates(
                 ExpansionReport(
                     exit_time=max_iter,
                     status="inconclusive",
-                    growth_ratios=per_row[i],
                     expansion_at_exit_ok=False,
                     thin_cone_ok=False,
                     expansion_along_orbit_ok=None,
@@ -335,7 +324,6 @@ def expansion_certificates(
             ExpansionReport(
                 exit_time=k,
                 status="ok",
-                growth_ratios=per_row[i],
                 expansion_at_exit_ok=bool(g_exit[i] >= rate**k),
                 thin_cone_ok=bool(
                     u_xy[i] < 2.0 * np.sqrt(m.delta) * u_z[i]

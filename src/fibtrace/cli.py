@@ -254,10 +254,10 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
             raise ConfigError(f"n: must be <= {n_max} {at}, got {N}")
         run = recurrences.run_dD(params, N)
         schedules = p["slack_schedules"]
-        slack = np.empty((schedules, N, 2))
-        for row in slack:
-            row[:, 0] = rng.uniform(0.0, 0.3, N)
-            row[:, 1] = rng.uniform(0.0, 0.2, N)
+        # schedule by schedule, N draws for column 0 and then N for column 1
+        slack = rng.random((schedules, 2, N))
+        slack *= np.array([[0.3], [0.2]])
+        slack = slack.transpose(0, 2, 1)
         aa_pass = 0
         if schedules:
             runs = recurrences.run_aA(params, N, slack_schedule=slack)

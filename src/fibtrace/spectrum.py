@@ -14,9 +14,11 @@ sigma_k = {E : |x_k(E)| <= 1} whose consecutive unions cover the
 spectrum.  By Floquet theory x_k = +1 or -1 exactly at the eigenvalues
 of the period-F_k operator with periodic or antiperiodic boundary
 conditions, so the band edges are computed as those eigenvalues.  The
-word w_k is a mirror image of itself on the ring of F_k sites, so each
-of the two eigenproblems splits into two blocks of about F_k / 2 that
-are solved apart, a quarter of the cubic work of one F_k x F_k solve.
+word w_k is a mirror image of itself on the ring of F_k sites, so the
+reflection folds the ring onto a path of F_k // 2 + 1 sites, and the
+two eigenproblems split into four Jacobi (symmetric tridiagonal)
+matrices on that path that differ only at its ends.  They are solved
+apart, a quarter of the cubic work of two F_k x F_k solves.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ OVERFLOW = 1e300
 
 MAX_ORACLE_INDEX = 16
 
-#: deepest approximant level; level k solves four mirror blocks of about
-#: F_k / 2 sites, and F_18 = 4181 makes each block ~2091^2, about 35 MB
+#: deepest approximant level; level k solves four Jacobi matrices on a
+#: path of F_k // 2 + 1 sites, stored dense for eigvalsh, and F_18 = 4181
+#: makes the largest 2091^2, about 35 MB
 MAX_LEVEL = 18
 
 
@@ -140,47 +143,44 @@ def _level_bands(j: int, coupling: float) -> BandSet:
     """sigma_j from the periodic and antiperiodic eigenvalues, block by block.
 
     x_j(E) = +1 (resp. -1) exactly at the eigenvalues of the ring operator
-    H with potential V * w_j, whose hop t_i from site i to i + 1 is 1 but
-    for the corner hop t_{F_j - 1} = +1 (resp. -1).  The reflection
-    R: i -> (c - i) mod F_j with c = F_{j-1} - 3 fixes w_j and maps hop i
-    to hop c - 1 - i, so G = D R commutes with H, where the +-1 gauge D
-    (g_0 = 1, g_{i+1} = g_i t_i t_{c-1-i}) moves the corner hop back.  G
-    is a signed permutation with G^2 = 1.  Its +1 and -1 eigenspaces have
-    the orthonormal bases e_i for the fixed sites with g_i = +-1 and
-    (e_i +- g_i e_{R i}) / sqrt 2 for the pairs i < R i, and H is built
-    in each from its 3 F_j ring entries.  Sorted together, the 2 F_j
-    eigenvalues of the four blocks pair off into the F_j band edges.
+    with potential V * w_j and hops 1 but for a corner hop +1 (resp. -1).
+    The reflection i -> (c - i) mod F_j with c = F_{j-1} - 3 fixes w_j and
+    folds the ring onto the path of F_j // 2 + 1 sites that starts at its
+    fixed site and walks forward to the far end: a second fixed site when
+    F_j is even, a fixed hop when F_j is odd.  A +-1 gauge moves the corner
+    sign onto the fixed hop, or onto a hop at a fixed site, which the
+    symmetry then also negates.  The even and odd functions of the two
+    operators are four Jacobi matrices on the path, one for each choice at
+    its two ends: a fixed site is kept, its hop scaled by sqrt 2, or
+    dropped, and the fixed hop adds +1 or -1 to the last diagonal entry.
+    Sorted together, the 2 F_j eigenvalues pair off into the F_j edges.
     """
-    w = _fibonacci_word(j)
-    n, c = len(w), fibonacci(j - 1) - 3
-    site = np.arange(n)
-    mirror = (c - site) % n
-    if not np.array_equal(w[mirror], w):
+    n = fibonacci(j)
+    if n == 1:  # one site whose hop is a loop: V + 2 and V - 2
+        return BandSet([(coupling - 2.0, coupling + 2.0)], generation=j)
+    w, c = _fibonacci_word(j), fibonacci(j - 1) - 3
+    start = (c + n * (c % 2)) // 2  # 2 start = c mod n
+    i = np.arange(n)
+    if not np.array_equal(w[(start - i) % n], w[(start + i) % n]):
         raise AssertionError(f"w_{j} is not symmetric about {c} mod {n}")
-    fixed, head = mirror == site, site <= mirror  # head: first site of its orbit
-    after, image = (site + 1) % n, (c - 1 - site) % n  # image: R's hop of hop i
-    rows = np.concatenate([site, site, after])
-    cols = np.concatenate([site, after, site])
-    hop = np.ones(n)
+    m = n // 2 + 1
+    diag = coupling * w[(start + i[:m]) % n]
+    off = np.ones(m - 1)
+    off[0] *= math.sqrt(2.0)
+    if n % 2:  # the far end is the fixed hop: +1 or -1 on the last site
+        ends = [(m, 1.0), (m, -1.0)]
+    else:  # the far end is a fixed site, kept or dropped; at F_j = 2 the
+        # one hop has a fixed site at each end and is scaled to 2
+        off[-1] *= math.sqrt(2.0)
+        ends = [(m, 0.0), (m - 1, 0.0)]
+    block = np.zeros((m, m))
+    block.flat[1::m + 1] = block.flat[m::m + 1] = off
     edges = []
-    for corner in (1.0, -1.0):
-        hop[-1] = corner  # with F_j = 1 the hop is a loop on the diagonal
-        ring = np.concatenate([coupling * w, hop, hop])
-        gauge = np.cumprod(np.concatenate([[1.0], (hop * hop[image])[:-1]]))
-        for sign in (1.0, -1.0):
-            # each pair i < R i gives one basis vector to each block, each
-            # fixed site one to the block of its gauge sign
-            member = ~fixed | (gauge == sign)
-            rank = np.cumsum(head & member) - 1
-            pos = np.where(member, rank[np.minimum(site, mirror)], -1)
-            pair = np.where(head, 1.0, sign * gauge) * np.sqrt(0.5)
-            coef = np.where(fixed, 1.0, pair)
-            i, k = pos[rows], pos[cols]
-            keep = (i >= 0) & (k >= 0)
-            block = np.zeros((rank[-1] + 1,) * 2)
-            entry = coef[rows] * coef[cols] * ring
-            np.add.at(block, (i[keep], k[keep]), entry[keep])
-            edges.append(np.linalg.eigvalsh(block))
+    for hi, tail in ends:
+        block.flat[::m + 1] = diag
+        block[hi - 1, hi - 1] += tail
+        for lo in (0, 1):  # the start site kept or dropped
+            edges.append(np.linalg.eigvalsh(block[lo:hi, lo:hi]))
     edges = np.sort(np.concatenate(edges)).reshape(-1, 2)
     return BandSet(edges, generation=j)
 

@@ -66,6 +66,23 @@ def test_box_count_rejects_bad_input():
         boxdim.box_count(BandSet([]), 0.1)
 
 
+def test_box_count_refuses_indices_past_2_53():
+    # |edge| / eps = 2^53 leaves the integers float64 holds exactly
+    two = BandSet([(-2.0, 1.0)])
+    assert boxdim.box_count(two, 2.0**-51) == 3 * 2**51
+    with pytest.raises(ValueError, match="eps = "):
+        boxdim.box_count(two, 2.0**-52)
+
+
+def test_single_band_grid_stops_at_the_float_spacing():
+    # one band has native resolution 0, so only the float spacing ends its grid
+    band = BandSet([(-2.0, 2.0)])
+    grid = boxdim.auto_scale_grid(band)
+    assert grid[-1] >= 2.0 * np.finfo(float).eps > 0.5 * grid[-1]
+    est = boxdim.box_dimension(band, grid)
+    assert est.value == pytest.approx(1.0, abs=1e-12) and not est.flagged
+
+
 def test_unit_interval_has_dimension_one():
     est = boxdim.box_dimension(
         BandSet([(0.0, 1.0)]), boxdim.geometric_scales(0.25, n=8)

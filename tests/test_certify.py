@@ -109,8 +109,6 @@ def test_batched_certificates_match_one_row_calls():
         assert got.expansion_at_exit_ok == one.expansion_at_exit_ok
         assert got.thin_cone_ok == one.thin_cone_ok
         assert got.expansion_along_orbit_ok == one.expansion_along_orbit_ok
-        assert len(got.growth_ratios) == got.exit_time
-        assert np.allclose(got.growth_ratios, one.growth_ratios)
 
 
 def test_batch_reports_inconclusive_only_for_the_slow_row():
@@ -120,7 +118,7 @@ def test_batch_reports_inconclusive_only_for_the_slow_row():
     V = np.tile([0.0, 0.0, 1.0], (3, 1))
     reps = certify.expansion_certificates(m, P, V, max_iter=30)
     assert [r.status for r in reps] == ["ok", "inconclusive", "ok"]
-    assert reps[1].exit_time == 30 and len(reps[1].growth_ratios) == 30
+    assert reps[1].exit_time == 30
     assert not reps[1].all_ok
     assert reps[0].all_ok and reps[2].all_ok
     assert reps[0].exit_time < reps[2].exit_time < 30

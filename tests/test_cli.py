@@ -267,6 +267,17 @@ def test_dimension_records_the_residual_flag(tmp_path, sets, flagged):
     assert json.loads(out.read_text())["estimate"]["flagged"] is flagged
 
 
+def test_dimension_at_zero_coupling_is_one(tmp_path, capsys):
+    # V = 0 gives a one-band cover, whose scale grid only the float spacing
+    # ends; run in-process, so a RuntimeWarning fails the test
+    code, err, out = run_main(tmp_path, capsys, "dimension", "--set", "mode=spectrum",
+                              "--set", "coupling=0", "--set", "k=8")
+    assert (code, err) == (0, "")
+    estimate = json.loads(out.read_text())["estimate"]
+    assert float(estimate["value"]) == pytest.approx(1.0, abs=1e-12)
+    assert estimate["flagged"] is False
+
+
 def test_dimension_sweep_rows_record_the_residual_flag(tmp_path):
     out = tmp_path / "sweep.json"
     r = run_cli("dimension", "--out", str(out), "--set", "mode=sweep",

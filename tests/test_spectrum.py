@@ -98,8 +98,9 @@ def test_band_edges_are_where_half_trace_is_one():
 
 
 def _dense_level(j, V):
-    """Band edges of level j from the two dense F_j x F_j solves, the oracle
-    for the mirror blocks of ``_level_bands``; an (F_j, 2) sorted array."""
+    """Band edges of level j from the two dense F_j x F_j ring solves, the
+    oracle for the four Jacobi matrices of ``_level_bands`` on the folded
+    half ring; an (F_j, 2) sorted array."""
     h = np.diag(V * spectrum._fibonacci_word(j))
     idx = np.arange(len(h) - 1)
     h[idx, idx + 1] = h[idx + 1, idx] = 1.0
@@ -122,6 +123,14 @@ def test_fibonacci_word_is_its_own_mirror_image():
         # a centre one site off is no symmetry from F_j = 3 on
         if n > 2:
             assert not np.array_equal(w[(mirror + 1) % n], w)
+
+
+def test_level_bands_refuses_a_word_that_is_not_its_own_mirror_image(monkeypatch):
+    word = spectrum._fibonacci_word
+    monkeypatch.setattr(spectrum, "_fibonacci_word", lambda k: np.roll(word(k), 1))
+    for j in (3, 4, 5, 9, 10):
+        with pytest.raises(AssertionError, match=f"w_{j} is not symmetric"):
+            spectrum._level_bands(j, 1.0)
 
 
 @pytest.mark.parametrize("V", [0.5, 1.0, 3.0])
