@@ -17,7 +17,7 @@ import numpy as np
 
 from . import torus
 from .certify import singular_eigen
-from .tracemap import singular_points, trace_step, trace_step_inv
+from .tracemap import singular_points, trace_step
 
 __all__ = ["EmpiricalReport", "empirical_trace_certificate", "sample_bounded_points"]
 
@@ -36,15 +36,62 @@ def trace_jacobian(p) -> np.ndarray:
     return jac
 
 
-def _row_norms(q: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (n, 3) array.
+def _stays_bounded(a, b, c, n_steps: int, norm_cap: float, backward: bool) -> np.ndarray:
+    """Mask of the rows whose next ``n_steps`` points have norm <= norm_cap.
 
-    The same sum in the same order as ``np.linalg.norm(q, axis=-1)``, so
-    bitwise equal to it, but taken over whole columns instead of reducing
-    along the short last axis, which is several times faster.
+    Steps the columns (a, b, c) to (2ab - c, a, b) in place, each new
+    column written into the buffer of the column it replaces, so the
+    caller's arrays are overwritten.  ``backward`` says the columns are
+    (z, y, x) rather than (x, y, z), for the order of the norm's sum.
     """
-    x, y, z = q[:, 0], q[:, 1], q[:, 2]
-    return np.sqrt(x * x + y * y + z * z)
+    t = np.empty_like(a)  # scratch
+    s = np.empty_like(a)  # squared norms, then norms
+    ok = np.empty(len(a), dtype=bool)
+    alive = np.ones(len(a), dtype=bool)
+    for _ in range(n_steps):
+        np.multiply(a, 2.0, out=t)
+        np.multiply(t, b, out=t)
+        np.subtract(t, c, out=t)
+        a, b, c, t = t, a, b, c
+        x, z = (c, a) if backward else (a, c)
+        np.multiply(x, x, out=s)
+        np.multiply(b, b, out=t)
+        np.add(s, t, out=s)
+        np.multiply(z, z, out=t)
+        np.add(s, t, out=s)
+        np.sqrt(s, out=s)
+        np.less_equal(s, norm_cap, out=ok)
+        alive &= ok
+        a *= ok
+    return alive
+
+
+def _surface_candidates(coupling: float, grid: int, rng) -> tuple[np.ndarray, ...]:
+    """x, y, z columns of the points of both z-sheets of S_V over a
+    jittered (x, y) grid of grid x grid points in (-1, 1)^2: first the
+    upper sheet, then the lower one."""
+    u = np.linspace(-0.999, 0.999, grid)
+    xx, yy = np.meshgrid(u, u, indexing="ij")
+    xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
+    yy = yy + rng.uniform(-0.5, 0.5, yy.shape) * (u[1] - u[0])
+    disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
+    ok = disc >= 0.0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    xy = xx * yy
+    return (
+        np.concatenate([xx[ok], xx[ok]]),
+        np.concatenate([yy[ok], yy[ok]]),
+        np.concatenate([(xy + root)[ok], (xy - root)[ok]]),
+    )
+
+
+def _off_vertices(x, y, z) -> np.ndarray:
+    """Mask of the rows farther than 1e-6 from every singular vertex."""
+    keep = np.ones(len(x), dtype=bool)
+    for s in singular_points():
+        dx, dy, dz = x - s[0], y - s[1], z - s[2]
+        keep &= np.sqrt(dx * dx + dy * dy + dz * dz) > 1e-6
+    return keep
 
 
 def sample_bounded_points(
@@ -61,38 +108,36 @@ def sample_bounded_points(
     (x, y) grid in the square holding the bounded component.  The
     singular vertices themselves are excluded; everything else near them
     is handled downstream by the singular-neighborhood radius.
+
+    The screen steps the candidates as three coordinate columns.  Both
+    directions send the columns (a, b, c) to (2ab - c, a, b): forward
+    with (a, b, c) = (x, y, z), backward with (z, y, x).  Doubling is
+    exact, so the backward column 2zy - x equals ``trace_step_inv``'s
+    2yz - x bit for bit, and the norm is summed as x^2 + y^2 + z^2 in
+    that order, as ``np.linalg.norm`` sums it: the points kept are those
+    kept by stepping ``trace_step`` and ``trace_step_inv`` row by row.
+    Rows are not compressed as they fail.  A failed row leaves the mask
+    of live rows and its new column is zeroed, so every column of every
+    row, live or not, stays within the larger of ``norm_cap`` and the
+    candidates' largest coordinate, and 2ab - c cannot overflow for any
+    norm_cap under 1e150.  An infinite norm_cap would keep rows that
+    reached infinity, so norm_cap must be finite.
     """
+    if not norm_cap < np.inf:
+        raise ValueError("norm_cap must be finite")
     rng = np.random.default_rng(rng)
-    u = np.linspace(-0.999, 0.999, grid)
-    xx, yy = np.meshgrid(u, u, indexing="ij")
-    xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
-    yy = yy + rng.uniform(-0.5, 0.5, yy.shape) * (u[1] - u[0])
-    disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
-    ok = disc >= 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    cand = np.concatenate(
-        [
-            np.stack([xx[ok], yy[ok], (xx * yy + root)[ok]], axis=-1),
-            np.stack([xx[ok], yy[ok], (xx * yy - root)[ok]], axis=-1),
-        ]
+    # built in helpers so that their grid-sized temporaries are freed
+    # before the screen allocates its buffers (peak memory)
+    x, y, z = _surface_candidates(coupling, grid, rng)
+    keep = _off_vertices(x, y, z)
+    x, y, z = x[keep], y[keep], z[keep]
+    live = np.flatnonzero(
+        _stays_bounded(x.copy(), y.copy(), z.copy(), n_forward, norm_cap, False)
     )
-    # drop candidates at the singular vertices themselves
-    for s in singular_points():
-        cand = cand[_row_norms(cand - s) > 1e-6]
-    # step only the rows still bounded, so ruled-out rows cannot overflow
-    live = np.arange(len(cand))
-    for stepper in (trace_step, trace_step_inv):
-        q = cand[live]
-        for _ in range(n_forward):
-            q = stepper(q)
-            ok = _row_norms(q) <= norm_cap
-            q, live = q.compress(ok, axis=0), live[ok]
-        if not len(live):
-            break
-    pts = cand[live]
-    if len(pts) > n_samples:
-        pts = pts[rng.choice(len(pts), size=n_samples, replace=False)]
-    return pts
+    live = live[_stays_bounded(z[live], y[live], x[live], n_forward, norm_cap, True)]
+    if len(live) > n_samples:
+        live = live[rng.choice(len(live), size=n_samples, replace=False)]
+    return np.stack([x[live], y[live], z[live]], axis=-1)
 
 
 def _unstable_frame(p) -> tuple[np.ndarray, np.ndarray]:

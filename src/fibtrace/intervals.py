@@ -39,16 +39,24 @@ class BandSet:
     """Ordered disjoint closed intervals, e.g. a spectral approximant.
 
     ``intervals`` takes any sequence of (lo, hi) pairs and holds them as a
-    sorted (n, 2) float array.  ``generation`` records the approximant
-    index or refinement depth the set came from; it is carried through
-    serialization but not used in set arithmetic.
+    sorted (n, 2) float array.  Pairs given sorted and strictly separated
+    (each lo above the hi before it) are kept as a copy, since
+    ``merge_intervals`` would return them unchanged; any others are
+    merged.  ``generation`` records the approximant index or refinement
+    depth the set came from; it is carried through serialization but not
+    used in set arithmetic.
     """
 
     intervals: np.ndarray = field(default_factory=list)
     generation: int = 0
 
     def __post_init__(self):
-        self.intervals = merge_intervals(self.intervals)
+        ivs = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
+        lo, hi = ivs.T
+        if np.all(lo[1:] > hi[:-1]) and np.all(hi >= lo):
+            self.intervals = ivs.copy()
+        else:
+            self.intervals = merge_intervals(ivs)
 
     def __len__(self) -> int:
         return len(self.intervals)

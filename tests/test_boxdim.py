@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibtrace import boxdim, spectrum
-from fibtrace.intervals import BandSet
+from fibtrace.intervals import BandSet, merge_intervals
 
 
 def _boxes_reference(b: BandSet, eps: float) -> int:
@@ -148,6 +148,47 @@ def test_cantor_bands_validation():
     b = boxdim.cantor_bands(0.2, 8, maps=3)
     est = boxdim.box_dimension(b, boxdim.auto_scale_grid(b))
     assert abs(est.value - math.log(3) / math.log(5)) < 0.03
+
+
+BELOW_HALF = float(np.nextafter(0.5, 0.0))
+BELOW_THIRD = float(np.nextafter(1.0 / 3.0, 0.0))
+
+# the dimension benchmark's six Cantor oracles, then ratios up to the
+# largest double below 1 / maps
+CANTOR_CASES = (
+    [(ratio, depth, 2) for ratio, depth in ((0.2, 16), (0.25, 15), (0.3, 14),
+                                            (1.0 / 3.0, 16), (0.35, 15), (0.4, 14))]
+    + [(ratio, depth, 2)
+       for ratio in (0.01, 0.1, 0.25, 0.45, 0.49, 0.499, 0.4999, 0.499999999999, BELOW_HALF)
+       for depth in (0, 1, 5, 10, 16)]
+    + [(ratio, depth, 3)
+       for ratio in (0.01, 0.1, 0.3, 0.33, 0.333, 0.333333333333, BELOW_THIRD)
+       for depth in (0, 1, 4, 9)]
+)
+
+# cases whose bands float64 cannot keep strictly apart: at ratio 0.01 the
+# deep levels are narrower than the spacing of doubles, and next to
+# 1 / maps the gaps round away; BandSet merges these
+CANTOR_UNSEPARATED = {
+    (0.01, 10, 2), (0.01, 16, 2), (0.499999999999, 16, 2),
+    (BELOW_HALF, 5, 2), (BELOW_HALF, 10, 2), (BELOW_HALF, 16, 2),
+    (0.01, 9, 3), (0.333333333333, 9, 3), (BELOW_THIRD, 4, 3), (BELOW_THIRD, 9, 3),
+}
+
+
+def test_cantor_bands_are_their_own_merge():
+    # BandSet keeps the construction's intervals unmerged exactly when
+    # they are strictly separated; either way they must equal their own
+    # merge bit for bit
+    unseparated = set()
+    for ratio, depth, maps in CANTOR_CASES:
+        b = boxdim.cantor_bands(ratio, depth, maps)
+        merged = merge_intervals(b.intervals)
+        assert b.intervals.shape == merged.shape
+        assert b.intervals.tobytes() == merged.tobytes()
+        if len(b) < maps**depth:
+            unseparated.add((ratio, depth, maps))
+    assert unseparated == CANTOR_UNSEPARATED
 
 
 def test_asymptote_check_requires_large_coupling():

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,10 +35,8 @@ def test_sampled_points_are_bounded_surface_points():
         assert np.all(np.linalg.norm(q, axis=-1) <= 10.0 + 1e-9)
 
 
-def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
-                      grid=160, rng=None):
-    """The bounded-point draw written with np.linalg.norm for every norm."""
-    rng = np.random.default_rng(rng)
+def _reference_candidates(coupling, grid, rng):
+    """The (n, 3) candidate points of the bounded-point draw, in order."""
     u = np.linspace(-0.999, 0.999, grid)
     xx, yy = np.meshgrid(u, u, indexing="ij")
     xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
@@ -49,6 +50,16 @@ def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
     ])
     for s in singular_points():
         cand = cand[np.linalg.norm(cand - s, axis=-1) > 1e-6]
+    return cand
+
+
+def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
+                      grid=160, rng=None):
+    """The bounded-point draw stepped row by row with trace_step and
+    trace_step_inv, dropping each row as it fails, with np.linalg.norm
+    for every norm."""
+    rng = np.random.default_rng(rng)
+    cand = _reference_candidates(coupling, grid, rng)
     live = np.arange(len(cand))
     for stepper in (trace_step, trace_step_inv):
         q = cand[live]
@@ -70,6 +81,75 @@ def test_sampler_matches_linalg_norm_reference(coupling, seed):
     pts = empirical.sample_bounded_points(coupling, 400, rng=seed)
     assert len(pts) == 400
     assert np.array_equal(pts, _reference_sample(coupling, 400, rng=seed))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampler_matches_reference_over_the_parameter_grid():
+    # couplings x steps x caps x seeds, 200 cases, on a 40 x 40 grid of
+    # (x, y) so that the row-by-row reference stays cheap
+    for coupling, n_forward, norm_cap, seed in itertools.product(
+        (0.02, 0.05, 0.2, 0.5), (0, 1, 2, 7, 30), (1.2, 1.5, 3.0, 10.0, 1e3), (1, 2)
+    ):
+        args = (coupling, 400, n_forward, norm_cap, 40, seed)
+        pts = empirical.sample_bounded_points(*args)
+        ref = _reference_sample(*args)
+        assert pts.shape == ref.shape, args
+        assert pts.tobytes() == ref.tobytes(), args
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_rows_back_under_the_cap_stay_dropped(backward):
+    # rows that leave the ball and come back under the cap later are in
+    # neither direction's mask, though their zeroed columns are stepped on
+    n_steps, cap = 7, 1.5
+    cand = _reference_candidates(0.5, 40, np.random.default_rng(1))
+    stepper = trace_step_inv if backward else trace_step
+    q, outside = cand, []
+    for _ in range(n_steps):
+        q = stepper(q)
+        outside.append(np.linalg.norm(q, axis=-1) > cap)
+    outside = np.array(outside)
+    returned = np.any([outside[:i].any(axis=0) & ~outside[i]
+                       for i in range(1, n_steps)], axis=0)
+    assert returned.any()
+    cols = cand[:, ::-1] if backward else cand
+    alive = empirical._stays_bounded(*cols.T.copy(), n_steps, cap, backward)
+    assert np.array_equal(alive, ~outside.any(axis=0))
+    assert not alive[returned].any()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_a_row_on_the_cap_is_kept_and_one_past_it_dropped(backward):
+    # caps set row by row to each row's own reference norm after one step
+    # pin the screen's norm to np.linalg.norm's bit for bit: a sum in
+    # another order, or s compared with cap**2, drops some of these rows
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (20000, 3))
+    stepper = trace_step_inv if backward else trace_step
+    norms = np.linalg.norm(stepper(pts), axis=-1)
+    cols = pts[:, ::-1] if backward else pts
+    for cap, kept in ((norms, True), (np.nextafter(norms, 0.0), False)):
+        alive = empirical._stays_bounded(*cols.T.copy(), 1, cap, backward)
+        assert np.all(alive == kept)
+
+
+@pytest.mark.parametrize("norm_cap", [np.inf, np.nan])
+def test_sampler_rejects_a_cap_that_is_not_finite(norm_cap):
+    with pytest.raises(ValueError, match="norm_cap"):
+        empirical.sample_bounded_points(0.5, 10, norm_cap=norm_cap, grid=20, rng=1)
+
+
+def test_sampler_peak_memory_is_pinned():
+    # the row-by-row screen this replaced peaked at 5,335,554 bytes
+    # under tracemalloc for this draw (numpy 2, CPython 3.11)
+    bound = 5.34e6
+    empirical.sample_bounded_points(0.02, 400, rng=3)  # one-time caches
+    tracemalloc.start()
+    try:
+        empirical.sample_bounded_points(0.02, 400, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_certificate_reports_clean_statistics():

@@ -1,7 +1,11 @@
 import ast
+import importlib
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibtrace"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fibtrace"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _private(name):
@@ -36,5 +40,41 @@ def test_no_module_takes_a_private_name_from_another():
         f"{path.name}:{line} uses {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, name in _private_uses(path)
+    ]
+    assert found == []
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and never reads: not
+    as a name anywhere in the module, nor as a string in ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.partition(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses(monkeypatch):
+    # a binding the benchmark's tracer wraps is read through the module
+    # from outside, so it counts as used; TRACED is read as
+    # test_perfbench_bindings reads it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    traced = {(module, attr) for module, attr, _, _ in importlib.import_module("spans").TRACED}
+    found = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _unused_imports(path)
+        if (f"fibtrace.{path.stem}", name) not in traced
     ]
     assert found == []

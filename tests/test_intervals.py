@@ -150,6 +150,31 @@ def test_union_merges_once(monkeypatch):
     assert isinstance(u, BandSet) and u.measure == 3.5
 
 
+def test_separated_bands_are_kept_without_a_merge(monkeypatch):
+    from fibtrace import intervals
+
+    calls = []
+
+    def counting_merge(ivs, gap_tol=0.0):
+        calls.append(gap_tol)
+        return merge_intervals(ivs, gap_tol)
+
+    monkeypatch.setattr(intervals, "merge_intervals", counting_merge)
+    given = np.array([[0.0, 1.0], [1.5, 1.5], [2.0, 3.0]])
+    kept = BandSet(given)
+    assert calls == []
+    assert kept.intervals.tobytes() == given.tobytes()
+    given[0, 0] = -1.0  # the set holds a copy
+    assert kept.intervals[0, 0] == 0.0
+    # touching, overlapping or unsorted bands are merged
+    assert BandSet([(0.0, 1.0), (1.0, 2.0)]).intervals.tolist() == [[0.0, 2.0]]
+    assert BandSet([(0.0, 1.5), (1.0, 2.0)]).intervals.tolist() == [[0.0, 2.0]]
+    assert BandSet([(2.0, 3.0), (0.0, 1.0)]).intervals.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    assert calls == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        BandSet([(0.0, 1.0), (3.0, 2.0)])
+
+
 def test_empty_bandset_raises_on_queries():
     empty = BandSet([])
     assert not empty and empty.intervals.shape == (0, 2)
