@@ -275,12 +275,10 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
     if p["kind"] == "model":
         m_seed = None if seed is None else seed + 1
         m = cert.make_model_map(delta=p["delta"], seed=m_seed)
-        n0 = p["n0"]
-        points, vectors = [], []
-        for _ in range(p["vectors"]):
-            zp = cert.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-            points.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-            vectors.append(cert.sample_cone_vector_3d(zp, 1.0, rng))
+        n, n0 = p["vectors"], p["n0"]
+        zp = cert.LAMBDA_BIG ** -rng.uniform(n0 + 1, n0 + 40, n)
+        points = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), zp])
+        vectors = cert.sample_cone_vectors_3d(zp, 1.0, rng)
         reps = cert.expansion_certificates(m, points, vectors)
         return {"report": {
             "kind": "model", "delta": _fmt(p["delta"]), "vectors": p["vectors"],

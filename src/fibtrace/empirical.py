@@ -105,9 +105,16 @@ def sample_bounded_points(
     """Surface points bounded for n_forward steps in both directions.
 
     Candidates come from both z-sheets of the surface over a jittered
-    (x, y) grid in the square holding the bounded component.  The
-    singular vertices themselves are excluded; everything else near them
-    is handled downstream by the singular-neighborhood radius.
+    (x, y) grid in the square holding the bounded component.  They are
+    screened in a seeded random order (``rng.permutation``), and the
+    first ``n_samples`` that pass, in that order, are returned: a
+    uniform random n_samples-subset of all the candidates that pass, or
+    all of them when fewer pass.  The order is screened in chunks that
+    start at 2 n_samples rows and double, and the screen stops once
+    n_samples rows have passed; since each row passes or fails on its
+    own, the chunks do not change the result.  The singular vertices
+    themselves are excluded; everything else near them is handled
+    downstream by the singular-neighborhood radius.
 
     The screen steps the candidates as three coordinate columns.  Both
     directions send the columns (a, b, c) to (2ab - c, a, b): forward
@@ -125,19 +132,29 @@ def sample_bounded_points(
     """
     if not norm_cap < np.inf:
         raise ValueError("norm_cap must be finite")
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
     rng = np.random.default_rng(rng)
-    # built in helpers so that their grid-sized temporaries are freed
+    # built in a helper so that its grid-sized temporaries are freed
     # before the screen allocates its buffers (peak memory)
     x, y, z = _surface_candidates(coupling, grid, rng)
-    keep = _off_vertices(x, y, z)
-    x, y, z = x[keep], y[keep], z[keep]
-    live = np.flatnonzero(
-        _stays_bounded(x.copy(), y.copy(), z.copy(), n_forward, norm_cap, False)
-    )
-    live = live[_stays_bounded(z[live], y[live], x[live], n_forward, norm_cap, True)]
-    if len(live) > n_samples:
-        live = live[rng.choice(len(live), size=n_samples, replace=False)]
-    return np.stack([x[live], y[live], z[live]], axis=-1)
+    order = rng.permutation(len(x))
+    kept, found = [np.empty((0, 3))], 0
+    start, size = 0, 2 * n_samples
+    while found < n_samples and start < len(order):
+        rows = order[start:start + size]
+        a, b, c = x[rows], y[rows], z[rows]
+        keep = _off_vertices(a, b, c)
+        a, b, c = a[keep], b[keep], c[keep]
+        live = np.flatnonzero(
+            _stays_bounded(a.copy(), b.copy(), c.copy(), n_forward, norm_cap, False)
+        )
+        live = live[_stays_bounded(c[live], b[live], a[live], n_forward, norm_cap, True)]
+        kept.append(np.stack([a[live], b[live], c[live]], axis=-1))
+        found += len(live)
+        start += size
+        size *= 2
+    return np.concatenate(kept)[:n_samples]
 
 
 def _unstable_frame(p) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +274,22 @@ def empirical_trace_certificate(
         raise ValueError("zeta must be in (0, 1)")
     if not singular_radius >= 0.0:
         raise ValueError("singular_radius must be >= 0")
-    rng = np.random.default_rng(rng)
     pts = sample_bounded_points(
         coupling, sample_size, n_forward, norm_cap, rng=rng
     )
+    return _certify_points(pts, coupling, n_forward, epsilon, zeta, singular_radius)
+
+
+def _certify_points(
+    pts: np.ndarray,
+    coupling: float,
+    n_forward: int,
+    epsilon: float,
+    zeta: float,
+    singular_radius: float,
+) -> EmpiricalReport:
+    """The statistics of ``empirical_trace_certificate`` at given (n, 3)
+    bounded points."""
     frame = singular_eigen().eigenvectors
     inv_frame = np.linalg.inv(frame)
     target = MU ** (n_forward * (1.0 - 4.0 * epsilon))

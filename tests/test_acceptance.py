@@ -142,11 +142,9 @@ def test_criterion_07_model_map_suite():
     rng = np.random.default_rng(107)
     m = certify.make_model_map(delta=1e-3, seed=1070)
     n0 = 200
-    points, vectors = [], []
-    for _ in range(1000):
-        zp = certify.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-        points.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-        vectors.append(certify.sample_cone_vector_3d(zp, 1.0, rng))
+    zp = certify.LAMBDA_BIG ** -rng.uniform(n0 + 1, n0 + 40, 1000)
+    points = np.column_stack([rng.uniform(-1.0, 1.0, (1000, 2)), zp])
+    vectors = certify.sample_cone_vectors_3d(zp, 1.0, rng)
     passed = sum(
         rep.status == "ok" and rep.all_ok and rep.exit_time >= n0
         for rep in certify.expansion_certificates(m, points, vectors)

@@ -58,13 +58,9 @@ def test_linear_map_certificate_exact():
 
 
 def test_perturbed_certificates_pass():
-    rng = np.random.default_rng(12)
     m = certify.make_model_map(delta=1e-3, seed=2)
-    n0 = 200
-    for _ in range(25):
-        zp = certify.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-        p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-        v = certify.sample_cone_vector_3d(zp, 1.0, rng)
+    P, V = _cone_batch(np.random.default_rng(12), 25)
+    for p, v in zip(P, V):
         rep = certify.expansion_certificate(m, p, v)
         assert rep.status == "ok"
         assert rep.all_ok
@@ -81,20 +77,27 @@ def test_certificate_input_validation():
 
 def test_sampled_cone_vectors_are_members():
     rng = np.random.default_rng(13)
-    for _ in range(100):
-        zp = 10.0 ** rng.uniform(-40, -1)
-        v = certify.sample_cone_vector_3d(zp, 1.0, rng)
-        assert certify.cone_member_3d(v, zp, 1.0)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    for c2 in (0.5, 1.0, 3.0):
+        zp = 10.0 ** rng.uniform(-40, -1, 1000)
+        V = certify.sample_cone_vectors_3d(zp, c2, rng)
+        assert V.shape == (1000, 3)
+        assert np.all(certify.cone_member_3d(V, zp, c2))
+        assert np.all(np.abs(np.linalg.norm(V, axis=-1) - 1.0) < 1e-12)
+        # |v_z| / |v_xy| is C2 sqrt(z) times a log-uniform factor in
+        # [1, 1e6], with either sign
+        lift = np.abs(V[:, 2]) / np.linalg.norm(V[:, :2], axis=-1) / (c2 * np.sqrt(zp))
+        assert np.all((lift > 1.0 - 1e-12) & (lift < 1e6 * (1.0 + 1e-12)))
+        quarters = np.histogram(np.log(lift), bins=4, range=(0.0, np.log(1e6)))[0]
+        assert quarters.min() > 200
+        assert 400 < np.count_nonzero(V[:, 2] > 0.0) < 600
+        one = certify.sample_cone_vectors_3d(0.25, c2, 1)
+        assert one.shape == (3,) and certify.cone_member_3d(one, 0.25, c2)
 
 
 def _cone_batch(rng, n, n0=200):
-    P, V = [], []
-    for _ in range(n):
-        zp = certify.LAMBDA_BIG ** (-rng.uniform(n0 + 1, n0 + 40))
-        P.append([rng.uniform(-1, 1), rng.uniform(-1, 1), zp])
-        V.append(certify.sample_cone_vector_3d(zp, 1.0, rng))
-    return np.array(P), np.array(V)
+    zp = certify.LAMBDA_BIG ** -rng.uniform(n0 + 1, n0 + 40, n)
+    P = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), zp])
+    return P, certify.sample_cone_vectors_3d(zp, 1.0, rng)
 
 
 def test_batched_certificates_match_one_row_calls():
@@ -142,6 +145,72 @@ def test_model_map_audit_value_is_pinned():
     m = certify.make_model_map(delta=1e-3, seed=0)
     dev = m.audit(samples=2000, rng=1)["df_deviation"]
     assert dev == pytest.approx(0.0004083036591343811, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_audit_norms_match_the_svd_norm(delta, seed):
+    m = certify.make_model_map(delta=delta, seed=seed)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (10000, 3))
+    pts[:500, 2] = 0.0  # rank <= 1: only the z-column is left
+    dev = m._wave_differential(pts)
+    got = certify._spectral_norms(dev)
+    ref = np.linalg.norm(dev, ord=2, axis=(-2, -1))
+    if delta == 0.0:
+        assert np.all(got == 0.0) and np.all(ref == 0.0)
+    else:
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+        assert np.all(ref[:500] > 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_norms_of_special_matrices():
+    rng = np.random.default_rng(24)
+    u, w = rng.normal(size=(200, 3, 1)), rng.normal(size=(200, 1, 3))
+    mats = np.concatenate([
+        rng.normal(size=(200, 3, 3)),
+        u @ w,  # rank 1
+        np.zeros((1, 3, 3)),
+        2.5 * np.eye(3)[None],  # G = q I
+        np.diag([1e-300, 0.0, 3e-300])[None],  # G underflows unscaled
+        np.full((1, 3, 3), 1e200),  # G overflows unscaled
+    ])
+    got = certify._spectral_norms(mats)
+    ref = np.linalg.norm(mats, ord=2, axis=(-2, -1))
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+
+def _push_formula(m, p, v):
+    """f(p) and Df(p) v as ModelMap.push computed them term by term."""
+    shifts = np.concatenate([m.phases, m.phases]) + np.array([0, 1, 0, 1, 0, 1]) * (
+        np.pi / 2.0)
+    args = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]] * 2)
+    grad = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    sines = np.sin(p @ args.T + shifts)
+    waves, slopes = sines[..., :3], sines[..., 3:]
+    s = m.delta / 8.0
+    scale = np.array([1.0 / m.lam, 1.0, m.lam])
+    pushed = v * scale
+    pushed += (s * p[..., 2:3]) * slopes * (v @ grad.T)
+    pushed += s * waves * v[..., 2:3]
+    return p * scale + (m.delta / 8.0) * p[..., 2:3] * waves, pushed
+
+
+@pytest.mark.parametrize("delta, seed", [(1e-3, 8), (1e-2, 9), (0.0, 10)])
+def test_pushes_are_pinned_to_the_formula(delta, seed):
+    # 240 steps of 400 rows, as one model job makes them
+    m = certify.make_model_map(delta=delta, seed=seed)
+    P, V = _cone_batch(np.random.default_rng(seed), 400)
+    q, w, q_ref, w_ref = P, V, P, V
+    constants = m._constants()
+    for _ in range(240):
+        one_p, one_v = m.push(q, w)
+        q, w = m._push(q, w, *constants)
+        q_ref, w_ref = _push_formula(m, q_ref, w_ref)
+        assert np.array_equal(q, q_ref) and np.array_equal(w, w_ref)
+        assert np.array_equal(one_p, q) and np.array_equal(one_v, w)
+    assert np.all(np.isfinite(q)) and np.any(q[:, 2] > 1.0)
 
 
 def test_model_map_accepts_point_arrays():

@@ -36,7 +36,8 @@ def test_sampled_points_are_bounded_surface_points():
 
 
 def _reference_candidates(coupling, grid, rng):
-    """The (n, 3) candidate points of the bounded-point draw, in order."""
+    """The (n, 3) candidate points of the bounded-point draw, in grid
+    order, the singular vertices not yet excluded."""
     u = np.linspace(-0.999, 0.999, grid)
     xx, yy = np.meshgrid(u, u, indexing="ij")
     xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
@@ -44,22 +45,19 @@ def _reference_candidates(coupling, grid, rng):
     disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
     ok = disc >= 0.0
     root = np.sqrt(np.where(ok, disc, 0.0))
-    cand = np.concatenate([
+    return np.concatenate([
         np.stack([xx[ok], yy[ok], (xx * yy + root)[ok]], axis=-1),
         np.stack([xx[ok], yy[ok], (xx * yy - root)[ok]], axis=-1),
     ])
+
+
+def _reference_survivors(cand, n_forward, norm_cap):
+    """The rows of cand off the singular vertices that stay within
+    norm_cap for n_forward steps both ways, in order: stepped row by row
+    with trace_step and trace_step_inv, dropping each row as it fails,
+    with np.linalg.norm for every norm."""
     for s in singular_points():
         cand = cand[np.linalg.norm(cand - s, axis=-1) > 1e-6]
-    return cand
-
-
-def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
-                      grid=160, rng=None):
-    """The bounded-point draw stepped row by row with trace_step and
-    trace_step_inv, dropping each row as it fails, with np.linalg.norm
-    for every norm."""
-    rng = np.random.default_rng(rng)
-    cand = _reference_candidates(coupling, grid, rng)
     live = np.arange(len(cand))
     for stepper in (trace_step, trace_step_inv):
         q = cand[live]
@@ -69,10 +67,29 @@ def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
             q, live = q[ok], live[ok]
         if not len(live):
             break
-    pts = cand[live]
+    return cand[live]
+
+
+def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
+                      grid=160, rng=None):
+    """The earlier full-screen draw: every candidate screened, then
+    n_samples of the survivors picked by rng.choice."""
+    rng = np.random.default_rng(rng)
+    pts = _reference_survivors(_reference_candidates(coupling, grid, rng),
+                               n_forward, norm_cap)
     if len(pts) > n_samples:
         pts = pts[rng.choice(len(pts), size=n_samples, replace=False)]
     return pts
+
+
+def _reference_first_survivors(coupling, n_samples, n_forward=30, norm_cap=10.0,
+                               grid=160, rng=None):
+    """The sampler's rule on a full screen: the candidates in the order
+    of a seeded permutation, and the first n_samples that survive."""
+    rng = np.random.default_rng(rng)
+    cand = _reference_candidates(coupling, grid, rng)
+    cand = cand[rng.permutation(len(cand))]
+    return _reference_survivors(cand, n_forward, norm_cap)[:n_samples]
 
 
 @pytest.mark.parametrize("coupling", [0.02, 0.05])
@@ -80,7 +97,7 @@ def _reference_sample(coupling, n_samples, n_forward=30, norm_cap=10.0,
 def test_sampler_matches_linalg_norm_reference(coupling, seed):
     pts = empirical.sample_bounded_points(coupling, 400, rng=seed)
     assert len(pts) == 400
-    assert np.array_equal(pts, _reference_sample(coupling, 400, rng=seed))
+    assert np.array_equal(pts, _reference_first_survivors(coupling, 400, rng=seed))
 
 
 @pytest.mark.filterwarnings("error")
@@ -92,9 +109,37 @@ def test_sampler_matches_reference_over_the_parameter_grid():
     ):
         args = (coupling, 400, n_forward, norm_cap, 40, seed)
         pts = empirical.sample_bounded_points(*args)
-        ref = _reference_sample(*args)
+        ref = _reference_first_survivors(*args)
         assert pts.shape == ref.shape, args
         assert pts.tobytes() == ref.tobytes(), args
+
+
+def _rows(pts):
+    return {row.tobytes() for row in pts}
+
+
+@pytest.mark.parametrize("coupling, n_forward, norm_cap", [
+    (0.05, 30, 10.0), (0.5, 7, 1.5), (0.2, 2, 1.2),
+])
+def test_sampler_keeps_survivors_of_the_full_screen(coupling, n_forward, norm_cap):
+    grid, seed = 40, 4
+    survivors = _reference_survivors(
+        _reference_candidates(coupling, grid, np.random.default_rng(seed)),
+        n_forward, norm_cap)
+    count = len(survivors)
+    assert 0 < count < 2 * grid * grid
+    for n in (1, 100, count - 1):
+        pts = empirical.sample_bounded_points(coupling, n, n_forward, norm_cap,
+                                              grid, seed)
+        assert len(pts) == min(n, count)
+        assert _rows(pts) <= _rows(survivors)
+        assert len(_rows(pts)) == len(pts)
+    # at least as many asked for as there are: all of them
+    for n in (count, count + 1, 10**6):
+        pts = empirical.sample_bounded_points(coupling, n, n_forward, norm_cap,
+                                              grid, seed)
+        assert len(pts) == count
+        assert _rows(pts) == _rows(survivors)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -138,10 +183,17 @@ def test_sampler_rejects_a_cap_that_is_not_finite(norm_cap):
         empirical.sample_bounded_points(0.5, 10, norm_cap=norm_cap, grid=20, rng=1)
 
 
+def test_sampler_rejects_a_negative_sample_count():
+    with pytest.raises(ValueError, match="n_samples"):
+        empirical.sample_bounded_points(0.5, -1, grid=20, rng=1)
+    assert empirical.sample_bounded_points(0.5, 0, grid=20, rng=1).shape == (0, 3)
+
+
 def test_sampler_peak_memory_is_pinned():
-    # the row-by-row screen this replaced peaked at 5,335,554 bytes
-    # under tracemalloc for this draw (numpy 2, CPython 3.11)
-    bound = 5.34e6
+    # this draw peaked at 2,675,282 bytes under tracemalloc (numpy 2,
+    # CPython 3.11); the full column screen before it at 3,774,828 and
+    # the row-by-row screen before that at 5,335,554
+    bound = 2.68e6
     empirical.sample_bounded_points(0.02, 400, rng=3)  # one-time caches
     tracemalloc.start()
     try:
@@ -222,8 +274,12 @@ def test_certificate_is_deterministic_given_seed():
     ],
 )
 def test_certificate_statistics_are_pinned(kw, counts, min_ratio):
-    # figures of the earlier one-sample-at-a-time engine
-    rep = empirical.empirical_trace_certificate(0.05, **kw)
+    # figures of the earlier one-sample-at-a-time engine, on the points
+    # of the earlier full-screen draw
+    n_forward = kw.get("n_forward", 30)
+    pts = _reference_sample(0.05, kw["sample_size"], n_forward, rng=kw["rng"])
+    rep = empirical._certify_points(pts, 0.05, n_forward, 0.1, 0.1,
+                                    kw.get("singular_radius", 0.05))
     got = (rep.samples_total, rep.inconclusive, rep.cone_checks, rep.cone_hits)
     assert got == counts
     assert rep.min_expansion_ratio == pytest.approx(min_ratio, rel=1e-12)
