@@ -3,12 +3,16 @@
 Modules:
 
 - ``tracemap``: the map, its Fricke invariant, surfaces, and periodic
-  structures
+  structures; ``trace_orbit`` is the one kernel that runs the trace
+  recursion s_j = 2 s_{j-1} s_{j-2} - s_{j-3}, for the spectrum's
+  half-traces and the bounded-point screen alike
+- ``intervals``: band sets (``BandSet``), finite unions of disjoint
+  closed intervals, and interval merging
 - ``torus``: the hyperbolic torus automorphism factor and the
   semiconjugacy onto the zero-coupling surface
 - ``subshift``: the 6-symbol Markov coding of the bounded dynamics
-- ``spectrum``: transfer matrices, trace recursion, and band covers of
-  the quasiperiodic spectrum
+- ``spectrum``: transfer matrices, half-traces, and band covers of the
+  quasiperiodic spectrum
 - ``boxdim``: box-counting dimension estimation for band sets
 - ``recurrences``: the coupled recurrence inequalities behind the
   near-singularity expansion bound
@@ -30,6 +34,7 @@ from .tracemap import (
     singular_orbit,
     singular_points,
     surface_mesh,
+    trace_orbit,
     trace_step,
     trace_step_inv,
 )
@@ -45,6 +50,7 @@ __all__ = [
     "singular_orbit",
     "singular_points",
     "surface_mesh",
+    "trace_orbit",
     "trace_step",
     "trace_step_inv",
 ]

@@ -26,6 +26,8 @@ from .intervals import BandSet
 
 __all__ = [
     "DimensionEstimate",
+    "asymptote_check",
+    "auto_scale_grid",
     "box_count",
     "box_dimension",
     "cantor_bands",

@@ -136,7 +136,8 @@ class ModelMap:
     exactly invariant; phases make distinct seeds give distinct maps.
     ``delta`` and ``c1`` are the audited bounds on ||Df - A|| and on the
     second derivatives over the working box.  Every method takes
-    (..., 3) arrays of points.
+    (..., 3) arrays of points.  The wave shifts and the linear part are
+    computed once, when the map is made.
     """
 
     lam: float
@@ -144,37 +145,35 @@ class ModelMap:
     c1: float
     phases: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    def __post_init__(self):
+        # the six shifts of the wave arguments (see ``_waves``) and the
+        # diagonal of the linear part
+        self._shifts = np.concatenate([self.phases, self.phases]) + _WAVE_SHIFTS
+        self._scale = np.array([1.0 / self.lam, 1.0, self.lam])
+
     @property
     def linear(self) -> np.ndarray:
-        return np.diag([1.0 / self.lam, 1.0, self.lam])
+        return np.diag(self._scale)
 
-    def _constants(self) -> tuple[np.ndarray, np.ndarray]:
-        """The six shifts of the wave arguments (see ``_waves``) and the
-        diagonal of the linear part."""
-        shifts = np.concatenate([self.phases, self.phases]) + _WAVE_SHIFTS
-        return shifts, np.array([1.0 / self.lam, 1.0, self.lam])
-
-    @staticmethod
-    def _waves(p: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _waves(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2).
 
         a = (x + y, x - y, x) + phases.  The map adds (delta/8) z waves
         to its linear part.
         """
-        sines = np.sin(p @ _WAVE_ARGS.T + shifts)
+        sines = np.sin(p @ _WAVE_ARGS.T + self._shifts)
         return sines[..., :3], sines[..., 3:]
 
-    def _image(self, p: np.ndarray, waves: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        return p * scale + (self.delta / 8.0) * p[..., 2:3] * waves
+    def _image(self, p: np.ndarray, waves: np.ndarray) -> np.ndarray:
+        return p * self._scale + (self.delta / 8.0) * p[..., 2:3] * waves
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        shifts, scale = self._constants()
-        return self._image(p, self._waves(p, shifts)[0], scale)
+        return self._image(p, self._waves(p)[0])
 
     def _wave_differential(self, p: np.ndarray) -> np.ndarray:
         """Df(p) - A: the differential of the (delta/8) z waves."""
-        waves, slopes = self._waves(p, self._constants()[0])
+        waves, slopes = self._waves(p)
         part = p[..., 2, None, None] * slopes[..., :, None] * _WAVE_GRAD
         part += waves[..., :, None] * _Z_COLUMN
         part *= self.delta / 8.0
@@ -189,18 +188,12 @@ class ModelMap:
         """f(p) and Df(p) v together, for (..., 3) points and vectors."""
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        return self._push(p, v, *self._constants())
-
-    def _push(
-        self, p: np.ndarray, v: np.ndarray, shifts: np.ndarray, scale: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``push`` with the map's ``_constants`` given, for loops."""
-        waves, slopes = self._waves(p, shifts)
+        waves, slopes = self._waves(p)
         s = self.delta / 8.0
-        pushed = v * scale
+        pushed = v * self._scale
         pushed += (s * p[..., 2:3]) * slopes * (v @ _WAVE_GRAD.T)
         pushed += s * waves * v[..., 2:3]
-        return self._image(p, waves, scale), pushed
+        return self._image(p, waves), pushed
 
     def audit(self, box: float = 2.0, samples: int = 10000, rng=None) -> dict:
         """Sampled check of the three structural hypotheses."""
@@ -316,7 +309,6 @@ def expansion_certificates(
     if not np.all(cone_member_3d(V, P[:, 2], c2)):
         raise ValueError("start vector is outside the cone")
     n = len(P)
-    shifts, scale = m._constants()
     v_xy0 = np.linalg.norm(V[:, :2], axis=-1)
     rate = m.lam ** (0.5 * (1.0 - 4.0 * epsilon))
     eta_start = np.abs(V[:, 2]) >= eta * v_xy0
@@ -333,7 +325,7 @@ def expansion_certificates(
     for k in range(1, max_iter + 1):
         if not len(active):
             break
-        q, w = m._push(q, w, shifts, scale)
+        q, w = m.push(q, w)
         g = np.linalg.norm(w, axis=-1) / v0_norm
         dip |= g < 0.5 * eta * rate**k
         out = q[:, 2] > 1.0

@@ -151,7 +151,10 @@ def _number(key: str, field: Field, raw: str | None):
         return word in ("yes", "true", "1")
     if field.type is list:
         each = field._replace(type=float)
-        return [_number(key, each, v) for v in raw.replace(",", " ").split()]
+        vals = [_number(key, each, v) for v in raw.replace(",", " ").split()]
+        if not vals:
+            raise ConfigError(f"{key}: list field has no values")
+        return vals
     try:
         val = float(raw)
     except ValueError:
@@ -324,10 +327,9 @@ def cmd_subshift(p: dict, out: str, seed: int | None) -> dict:
     for n in range(1, p["n"] + 1):
         words, periodic = subshift.counts(n)
         table.append({"n": n, "words": words, "periodic": periodic})
-    rho = subshift.spectral_radius()
     return {
-        "counts": table, "spectral_radius": _fmt(rho),
-        "entropy": _fmt(float(np.log(rho))), "transition": subshift.TRANSITION.tolist(),
+        "counts": table, "spectral_radius": _fmt(subshift.spectral_radius()),
+        "entropy": _fmt(subshift.entropy()), "transition": subshift.TRANSITION.tolist(),
     }
 
 

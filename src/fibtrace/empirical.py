@@ -17,9 +17,14 @@ import numpy as np
 
 from . import torus
 from .certify import singular_eigen
-from .tracemap import singular_points, trace_step
+from .tracemap import singular_points, trace_orbit, trace_step
 
-__all__ = ["EmpiricalReport", "empirical_trace_certificate", "sample_bounded_points"]
+__all__ = [
+    "EmpiricalReport",
+    "empirical_trace_certificate",
+    "sample_bounded_points",
+    "trace_jacobian",
+]
 
 MU = torus.MU
 
@@ -36,34 +41,17 @@ def trace_jacobian(p) -> np.ndarray:
     return jac
 
 
-def _stays_bounded(a, b, c, n_steps: int, norm_cap: float, backward: bool) -> np.ndarray:
-    """Mask of the rows whose next ``n_steps`` points have norm <= norm_cap.
-
-    Steps the columns (a, b, c) to (2ab - c, a, b) in place, each new
-    column written into the buffer of the column it replaces, so the
-    caller's arrays are overwritten.  ``backward`` says the columns are
-    (z, y, x) rather than (x, y, z), for the order of the norm's sum.
+def _bounded_rows(x, y, z, n_steps: int, norm_cap, backward: bool) -> np.ndarray:
+    """Mask of the rows whose next ``n_steps`` points, forward or backward,
+    have norm <= norm_cap (a number, or one cap per row), each norm
+    summed x^2 + y^2 + z^2 in that order, as ``np.linalg.norm`` sums it.
     """
-    t = np.empty_like(a)  # scratch
-    s = np.empty_like(a)  # squared norms, then norms
-    ok = np.empty(len(a), dtype=bool)
-    alive = np.ones(len(a), dtype=bool)
-    for _ in range(n_steps):
-        np.multiply(a, 2.0, out=t)
-        np.multiply(t, b, out=t)
-        np.subtract(t, c, out=t)
-        a, b, c, t = t, a, b, c
-        x, z = (c, a) if backward else (a, c)
-        np.multiply(x, x, out=s)
-        np.multiply(b, b, out=t)
-        np.add(s, t, out=s)
-        np.multiply(z, z, out=t)
-        np.add(s, t, out=s)
-        np.sqrt(s, out=s)
-        np.less_equal(s, norm_cap, out=ok)
-        alive &= ok
-        a *= ok
-    return alive
+    s = trace_orbit(x, y, z, n_steps) if backward else trace_orbit(z, y, x, n_steps)
+    with np.errstate(over="ignore"):
+        sq = s * s
+    # T^(+-k)(p) is (s_k, s_{k+1}, s_{k+2}), reversed going forward
+    x_sq, z_sq = (sq[1:-2], sq[3:]) if backward else (sq[3:], sq[1:-2])
+    return np.all(np.sqrt(x_sq + sq[2:-1] + z_sq) <= norm_cap, axis=0)
 
 
 def _surface_candidates(coupling: float, grid: int, rng) -> tuple[np.ndarray, ...]:
@@ -116,19 +104,13 @@ def sample_bounded_points(
     themselves are excluded; everything else near them is handled
     downstream by the singular-neighborhood radius.
 
-    The screen steps the candidates as three coordinate columns.  Both
-    directions send the columns (a, b, c) to (2ab - c, a, b): forward
-    with (a, b, c) = (x, y, z), backward with (z, y, x).  Doubling is
-    exact, so the backward column 2zy - x equals ``trace_step_inv``'s
-    2yz - x bit for bit, and the norm is summed as x^2 + y^2 + z^2 in
-    that order, as ``np.linalg.norm`` sums it: the points kept are those
-    kept by stepping ``trace_step`` and ``trace_step_inv`` row by row.
-    Rows are not compressed as they fail.  A failed row leaves the mask
-    of live rows and its new column is zeroed, so every column of every
-    row, live or not, stays within the larger of ``norm_cap`` and the
-    candidates' largest coordinate, and 2ab - c cannot overflow for any
-    norm_cap under 1e150.  An infinite norm_cap would keep rows that
-    reached infinity, so norm_cap must be finite.
+    Each candidate is screened forward, and each that passes backward,
+    by one ``tracemap.trace_orbit`` call per direction on the whole
+    chunk.  Its norms are summed as ``np.linalg.norm`` sums them, so the
+    points kept are those kept by stepping ``trace_step`` and
+    ``trace_step_inv`` row by row.  A row that escapes runs on to inf
+    or NaN and fails every later step.  An infinite norm_cap would keep
+    rows that reached infinity, so norm_cap must be finite.
     """
     if not norm_cap < np.inf:
         raise ValueError("norm_cap must be finite")
@@ -143,15 +125,12 @@ def sample_bounded_points(
     start, size = 0, 2 * n_samples
     while found < n_samples and start < len(order):
         rows = order[start:start + size]
-        a, b, c = x[rows], y[rows], z[rows]
-        keep = _off_vertices(a, b, c)
-        a, b, c = a[keep], b[keep], c[keep]
-        live = np.flatnonzero(
-            _stays_bounded(a.copy(), b.copy(), c.copy(), n_forward, norm_cap, False)
-        )
-        live = live[_stays_bounded(c[live], b[live], a[live], n_forward, norm_cap, True)]
-        kept.append(np.stack([a[live], b[live], c[live]], axis=-1))
-        found += len(live)
+        pts = np.stack([x[rows], y[rows], z[rows]], axis=-1)
+        pts = pts[_off_vertices(*pts.T)]
+        pts = pts[_bounded_rows(*pts.T, n_forward, norm_cap, False)]
+        pts = pts[_bounded_rows(*pts.T, n_forward, norm_cap, True)]
+        kept.append(pts)
+        found += len(pts)
         start += size
         size *= 2
     return np.concatenate(kept)[:n_samples]

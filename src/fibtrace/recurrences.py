@@ -23,6 +23,8 @@ import numpy as np
 __all__ = [
     "RecurrenceParams",
     "RecurrenceRun",
+    "check_heights",
+    "dominates",
     "find_passing_parameters",
     "geometric_heights",
     "max_steps",

@@ -7,8 +7,9 @@ The half-traces x_k(E) of the Fibonacci-block transfer matrices obey
 
 so they are the coordinates of the trace-map orbit of the line point
 ((E - V)/2, E/2, 1), and E lies in the spectrum exactly when that orbit
-stays bounded.  ``trace_sequence`` runs the recursion for an array of
-energies; ``half_trace_oracle`` multiplies the transfer matrices as an
+stays bounded.  ``trace_sequence`` runs the recursion, by
+``tracemap.trace_orbit``, for an array of energies;
+``half_trace_oracle`` multiplies the transfer matrices as an
 independent reference.  Periodic approximants give band sets
 sigma_k = {E : |x_k(E)| <= 1} whose consecutive unions cover the
 spectrum.  By Floquet theory x_k = +1 or -1 exactly at the eigenvalues
@@ -30,6 +31,7 @@ import numpy as np
 
 # merge_intervals is not called here, but perfbench/spans.py looks it up here
 from .intervals import BandSet, merge_intervals  # noqa: F401
+from .tracemap import trace_orbit
 
 __all__ = [
     "ALPHA",
@@ -116,18 +118,15 @@ def trace_sequence(E, coupling: float, k_max: int) -> np.ndarray:
     """Half-traces x_{-1} .. x_{k_max} by the recursion, for every E at once.
 
     Returns an array of shape (k_max + 2, *E.shape) whose row j + 1 holds
-    x_j.  From the first value that is non-finite or exceeds ``OVERFLOW``
-    in magnitude, that value and every later one of its energy are NaN.
+    x_j: ``tracemap.trace_orbit`` from (1, E/2, (E - V)/2).  From the
+    first value that is non-finite or exceeds ``OVERFLOW`` in magnitude,
+    that value and every later one of its energy are NaN.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     E = np.asarray(E, dtype=float)
-    x = np.empty((k_max + 2, *E.shape))
-    x[0], x[1], x[2] = 1.0, E / 2.0, (E - coupling) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(3, k_max + 2):
-            x[j] = 2.0 * x[j - 1] * x[j - 2] - x[j - 3]
-        x[~np.logical_and.accumulate(np.abs(x) <= OVERFLOW, axis=0)] = np.nan
+    x = trace_orbit(1.0, E / 2.0, (E - coupling) / 2.0, k_max - 1)
+    x[~np.logical_and.accumulate(np.abs(x) <= OVERFLOW, axis=0)] = np.nan
     return x
 
 

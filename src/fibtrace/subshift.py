@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "TRANSITION",
     "admissible",
+    "characteristic_root",
     "counts",
     "entropy",
     "enumerate_words",
@@ -80,21 +81,9 @@ def enumerate_words(n: int) -> int:
     return total
 
 
-def spectral_radius(tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Dominant eigenvalue by power iteration to relative tolerance tol."""
-    v = np.full(6, 1.0 / np.sqrt(6.0))
-    est = 0.0
-    mat = TRANSITION.astype(float)
-    for _ in range(max_iter):
-        w = mat @ v
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            raise ArithmeticError("power iteration collapsed to zero")
-        v = w / new_est
-        if abs(new_est - est) <= tol * abs(new_est):
-            return new_est
-        est = new_est
-    raise ArithmeticError("power iteration did not converge")
+def spectral_radius() -> float:
+    """Dominant eigenvalue: the largest |eigenvalue| of the transition matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(TRANSITION.astype(float)))))
 
 
 def characteristic_root(lo: float = 1.0, hi: float = 4.0) -> float:

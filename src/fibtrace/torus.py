@@ -28,6 +28,7 @@ __all__ = [
     "df_semiconj",
     "eigen_data",
     "invert_semiconj",
+    "sample_cone_vectors",
     "semiconj",
     "torus_auto",
 ]

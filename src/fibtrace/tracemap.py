@@ -7,6 +7,10 @@ The phase space is R^3 with coordinates (x, y, z).  The map
 preserves the Fricke invariant G(x, y, z) = x^2 + y^2 + z^2 - 2xyz - 1,
 so each level set {G = V^2/4} (the surface S_V) is invariant.  The line
 of initial conditions for coupling V is ((E - V)/2, E/2, 1).
+
+Every orbit, forward or backward, is a run of the recursion
+s_j = 2 s_{j-1} s_{j-2} - s_{j-3}, and ``trace_orbit`` is the one place
+that runs it for many steps.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "singular_orbit",
     "singular_points",
     "surface_mesh",
+    "trace_orbit",
     "trace_step",
     "trace_step_inv",
 ]
@@ -54,6 +59,27 @@ def trace_step_inv(p) -> np.ndarray:
     p = _as_point(p)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     return np.stack([y, z, 2.0 * y * z - x], axis=-1)
+
+
+def trace_orbit(a, b, c, n: int) -> np.ndarray:
+    """s_0 .. s_{n+2} of s_j = 2 s_{j-1} s_{j-2} - s_{j-3} with s_0..s_2 = a, b, c.
+
+    The starts broadcast to some shape; the result is (n + 3, *shape).
+    The forward orbit of (x, y, z) starts from (z, y, x), with
+    T^k(p) = (s_{k+2}, s_{k+1}, s_k); the backward one from (x, y, z),
+    with T^-k(p) = (s_k, s_{k+1}, s_{k+2}).  Each value equals
+    ``trace_step``'s or ``trace_step_inv``'s bit for bit, and an orbit
+    that escapes runs to inf and NaN without warnings.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c))
+    s = np.empty((n + 3, *shape))
+    s[0], s[1], s[2] = a, b, c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3, n + 3):
+            s[j] = 2.0 * s[j - 1] * s[j - 2] - s[j - 3]
+    return s
 
 
 def fricke(p) -> float | np.ndarray:

@@ -203,13 +203,10 @@ def test_pushes_are_pinned_to_the_formula(delta, seed):
     m = certify.make_model_map(delta=delta, seed=seed)
     P, V = _cone_batch(np.random.default_rng(seed), 400)
     q, w, q_ref, w_ref = P, V, P, V
-    constants = m._constants()
     for _ in range(240):
-        one_p, one_v = m.push(q, w)
-        q, w = m._push(q, w, *constants)
+        q, w = m.push(q, w)
         q_ref, w_ref = _push_formula(m, q_ref, w_ref)
         assert np.array_equal(q, q_ref) and np.array_equal(w, w_ref)
-        assert np.array_equal(one_p, q) and np.array_equal(one_v, w)
     assert np.all(np.isfinite(q)) and np.any(q[:, 2] > 1.0)
 
 

@@ -80,6 +80,13 @@ def test_negative_dimension_resolution_exits_2_naming_field(tmp_path):
           "--set", "k=9"), None, "couplings: must be >= 16.0, got 4.0"),
         (("mesh", "--set", "coupling=0.1", "--set", "per2=maybe"), None, "per2:"),
         (("dimension", "--set", "mode=box", "--set", "coupling=1"), None, "mode:"),
+        # couplings is required: a list with no values does not pass for one
+        (("dimension", "--set", "mode=sweep", "--set", "couplings="), None,
+         "couplings: list field has no values"),
+        (("dimension", "--set", "mode=sweep", "--set", "couplings= , ,"), None,
+         "couplings: list field has no values"),
+        (("dimension", "--set", "mode=sweep"), "[run]\ncouplings =\n",
+         "couplings: list field has no values"),
     ],
 )
 def test_config_errors_exit_2_naming_field(tmp_path, args, ini, needle):

@@ -145,7 +145,7 @@ def test_sampler_keeps_survivors_of_the_full_screen(coupling, n_forward, norm_ca
 @pytest.mark.parametrize("backward", [False, True])
 def test_rows_back_under_the_cap_stay_dropped(backward):
     # rows that leave the ball and come back under the cap later are in
-    # neither direction's mask, though their zeroed columns are stepped on
+    # neither direction's mask, though their orbits are run to the end
     n_steps, cap = 7, 1.5
     cand = _reference_candidates(0.5, 40, np.random.default_rng(1))
     stepper = trace_step_inv if backward else trace_step
@@ -157,8 +157,7 @@ def test_rows_back_under_the_cap_stay_dropped(backward):
     returned = np.any([outside[:i].any(axis=0) & ~outside[i]
                        for i in range(1, n_steps)], axis=0)
     assert returned.any()
-    cols = cand[:, ::-1] if backward else cand
-    alive = empirical._stays_bounded(*cols.T.copy(), n_steps, cap, backward)
+    alive = empirical._bounded_rows(*cand.T, n_steps, cap, backward)
     assert np.array_equal(alive, ~outside.any(axis=0))
     assert not alive[returned].any()
 
@@ -171,9 +170,8 @@ def test_a_row_on_the_cap_is_kept_and_one_past_it_dropped(backward):
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (20000, 3))
     stepper = trace_step_inv if backward else trace_step
     norms = np.linalg.norm(stepper(pts), axis=-1)
-    cols = pts[:, ::-1] if backward else pts
     for cap, kept in ((norms, True), (np.nextafter(norms, 0.0), False)):
-        alive = empirical._stays_bounded(*cols.T.copy(), 1, cap, backward)
+        alive = empirical._bounded_rows(*pts.T, 1, cap, backward)
         assert np.all(alive == kept)
 
 

@@ -78,3 +78,36 @@ def test_no_module_imports_a_name_it_never_uses(monkeypatch):
         if (f"fibtrace.{path.stem}", name) not in traced
     ]
     assert found == []
+
+
+def _declared_all(tree):
+    """The names of a module's ``__all__``, or None if it declares none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_all_lists_every_public_function_and_class():
+    # the command-line module is a program, not an API, and has no __all__
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        listed = _declared_all(tree)
+        if listed is None:
+            found.append(f"{path.name} declares no __all__")
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {node.name} is not in __all__"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in listed
+        ]
+        module = importlib.import_module(
+            "fibtrace" if path.stem == "__init__" else f"fibtrace.{path.stem}")
+        found += [f"{path.name} lists {name}, which it does not define"
+                  for name in listed if not hasattr(module, name)]
+    assert found == []

@@ -47,7 +47,7 @@ def test_small_period_traces():
 
 def test_spectral_radius_is_golden_mean():
     rho = subshift.spectral_radius()
-    assert abs(rho - MU) < 1e-8
+    assert abs(rho - MU) <= 1e-13
     # independent oracle: dominant root of the characteristic polynomial
     assert abs(subshift.characteristic_root() - rho) < 1e-8
 

@@ -10,6 +10,7 @@ from fibtrace.tracemap import (
     singular_orbit,
     singular_points,
     surface_mesh,
+    trace_orbit,
     trace_step,
     trace_step_inv,
 )
@@ -121,3 +122,35 @@ def test_nonfinite_points_rejected():
         trace_step([1.0, np.nan, 0.0])
     with pytest.raises(ValueError):
         fricke([np.inf, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_trace_orbit_matches_iterated_steps_bit_for_bit(backward):
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(500, 3))
+    x, y, z = pts.T
+    n = 12
+    s = trace_orbit(x, y, z, n) if backward else trace_orbit(z, y, x, n)
+    assert s.shape == (n + 3, len(pts))
+    q = pts
+    for k in range(n + 1):
+        window = s[k:k + 3].T
+        assert np.array_equal(window if backward else window[:, ::-1], q)
+        q = trace_step_inv(q) if backward else trace_step(q)
+
+
+@pytest.mark.filterwarnings("error")
+def test_escaping_orbits_run_to_inf_or_nan_without_warnings():
+    # from (3, 3, 3) the orbit grows doubly exponentially, overflows at
+    # s_15 and turns to NaN at s_18 (inf - inf); (1, 1, 1) is fixed
+    start = np.array([3.0, 1.0])
+    s = trace_orbit(start, start, start, 40)
+    assert np.all(np.isfinite(s[:15, 0]))
+    assert np.all(np.isinf(s[15:18, 0])) and np.all(np.isnan(s[18:, 0]))
+    assert np.all(s[:, 1] == 1.0)
+
+
+def test_trace_orbit_broadcasts_its_starts_and_checks_n():
+    assert trace_orbit(1.0, 2.0, 3.0, 0).tolist() == [1.0, 2.0, 3.0]
+    assert trace_orbit(1.0, np.zeros((2, 4)), 0.5, 5).shape == (8, 2, 4)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        trace_orbit(1.0, 2.0, 3.0, -1)
