@@ -12,6 +12,13 @@ meets a band on one side and closing it leaves N(eps) unchanged; the
 factor 1/2 leaves a wide margin over rounding in j*eps.  At coarse
 scales the closed set has about N(eps) bands rather than all of them.
 A set holding a zero-width band is counted as given.
+
+A count needs no sort.  Box j meets a band when fl(j*eps) < hi and
+fl((j+1)*eps) > lo, and fl(j*eps) never decreases in j, so each band
+meets one run of boxes j0..j1.  A ``BandSet`` is sorted and its bands
+are separated, so j0 and j1 never decrease from one band to the next:
+a run can share boxes only with the run just before it, and N(eps) is
+the span j1[-1] - j0[0] + 1 less the empty boxes between runs.
 """
 
 from __future__ import annotations
@@ -54,9 +61,16 @@ class DimensionEstimate:
 def box_count(b: BandSet, eps: float) -> int:
     """Number of eps-grid boxes whose interior meets the band set.
 
-    Degenerate (zero-width) intervals count the single box holding the
-    point.  Grid boxes are half-open and anchored at 0, so [0, 1] at
-    eps = 0.1 occupies exactly 10 boxes.
+    Box j counts iff fl(j*eps) < hi and fl((j+1)*eps) > lo for some
+    band, so grid boxes are half-open and anchored at 0: [0, 1] at
+    eps = 0.1 occupies exactly 10 boxes.  A zero-width band counts the
+    single box holding the point, the least j with fl((j+1)*eps) > lo.
+
+    Both tests are monotone in j, so band i meets the boxes j0[i]..j1[i],
+    j0 the least j passing the second and j1 the greatest passing the
+    first.  The bands are sorted and separated, so j0 and j1 never
+    decrease and the count is one pass with no sort: the span
+    j1[-1] - j0[0] + 1 less the boxes between consecutive runs.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -66,21 +80,20 @@ def box_count(b: BandSet, eps: float) -> int:
     if max(map(abs, b.extent)) / eps >= 2.0**53:
         raise ValueError(f"eps = {eps:g} puts box indices past 2^53, "
                          "where float64 no longer holds them exactly")
-    # open-overlap convention: box j counts iff j*eps < hi and
-    # (j+1)*eps > lo; a zero-width band counts the box holding it
-    base = np.floor(lo / eps)
-    j0 = np.where((base + 1) * eps <= lo, base + 1, base)
+    # below 2^53 the rounded quotients are at most one box off, and one
+    # step either way settles j0 and j1 exactly
+    j0 = np.floor(lo / eps)
+    j0 -= j0 * eps > lo
+    j0 += (j0 + 1) * eps <= lo
     j1 = np.ceil(hi / eps) - 1
-    j1 = np.maximum(np.where(j1 * eps >= hi, j1 - 1, j1), j0)
-    point = hi <= lo
-    j0 = np.where(point, base, j0).astype(np.int64)
-    j1 = np.where(point, base, j1).astype(np.int64)
-    # count the union of the box ranges: after sorting by j0, each range
-    # adds only the boxes past the furthest box of the ranges before it
-    order = np.argsort(j0, kind="stable")
-    j0, j1 = j0[order], j1[order]
-    reach = np.maximum.accumulate(np.r_[j0[0] - 1, j1[:-1]])
-    return int(np.maximum(j1 - np.maximum(j0, reach + 1) + 1, 0).sum())
+    j1 += (j1 + 1) * eps < hi
+    j1 -= j1 * eps >= hi
+    # a zero-width band ends with j1 = j0 - 1 or j0, and counts box j0;
+    # integers keep the span and the sums exact past 2^53 boxes
+    j0 = j0.astype(np.int64)
+    j1 = np.maximum(j1, j0).astype(np.int64)
+    missed = np.maximum(j0[1:] - j1[:-1] - 1, 0).sum()
+    return int(j1[-1] - j0[0] + 1 - missed)
 
 
 def geometric_scales(

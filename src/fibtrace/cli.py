@@ -66,7 +66,9 @@ FIELDS: dict[str, dict[str, Field]] = {
     },
     "dimension mode=cantor": {
         "ratio": Field(float, None, 0.0, 0.5, open=True),
-        "depth": Field(int, 10, 1),
+        # cantor_bands builds 2^depth intervals: 2^20 of them take 16 MB,
+        # while a depth in the 30s would ask for gigabytes
+        "depth": Field(int, 10, 1, 20),
     },
     "dimension mode=spectrum": {
         "coupling": Field(float, lo=0.0),
@@ -375,7 +377,8 @@ def main(argv=None) -> int:
     meta = {"tool": "fibtrace", "version": __version__, "command": args.command}
     payload = {**meta, "config": config, **result}
     with open(args.out, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # compact, so json uses its C encoder; indent=2 falls back to Python
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 

@@ -127,11 +127,12 @@ class BandSet:
         # a band starts wherever lo clears the previous band's hi by more
         # than gap_tol, and ends at the hi just before the next start
         lo, hi = self.intervals.T
-        split = lo[1:] > hi[:-1] + gap_tol
+        split = np.flatnonzero(lo[1:] > hi[:-1] + gap_tol)
+        kept = np.empty((len(split) + 1, 2))
+        kept[0, 0], kept[1:, 0] = lo[0], lo[split + 1]
+        kept[:-1, 1], kept[-1, 1] = hi[split], hi[-1]
         closed = object.__new__(BandSet)
-        closed.intervals = np.column_stack(
-            [lo[np.r_[True, split]], hi[np.r_[split, True]]]
-        )
+        closed.intervals = kept
         closed.generation = self.generation
         return closed
 

@@ -20,13 +20,28 @@ def _boxes_reference(b: BandSet, eps: float) -> int:
                 if j * eps < hi and (j + 1) * eps > lo
             )
         else:
-            boxes.add(math.floor(lo / eps))
+            # the box holding the point, by the same rounded products
+            boxes.update(
+                j
+                for j in range(math.floor(lo / eps) - 2, math.floor(lo / eps) + 3)
+                if j * eps <= lo < (j + 1) * eps
+            )
     return len(boxes)
 
 
 # an endpoint (k + q/4) * eps: on a grid line when q = 0, otherwise a
 # quarter or more of a box away from one
 _grid_point = st.tuples(st.integers(-40, 40), st.integers(0, 3))
+# the same moved by 0-3 ulp either way, where j * eps rounds across it
+_near_grid_point = st.tuples(_grid_point, st.integers(-3, 3))
+
+
+def _near_grid_value(point, eps):
+    (k, q), ulps = point
+    x = (k + q / 4) * eps
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 def test_box_count_conventions():
@@ -37,6 +52,8 @@ def test_box_count_conventions():
     assert boxdim.box_count(BandSet([(0.3, 0.3)]), 0.1) == 1
     # touching a grid line from outside does not add a box
     assert boxdim.box_count(BandSet([(0.1, 0.2)]), 0.1) == 1
+    # (-12) * 0.3 rounds to -3.5999999999999996 > -3.6, so box -13 counts
+    assert boxdim.box_count(BandSet([(-3.6, -0.29999999999999993)]), 0.3) == 13
 
 
 def test_box_count_merges_shared_boxes():
@@ -44,19 +61,52 @@ def test_box_count_merges_shared_boxes():
     assert boxdim.box_count(b, 0.1) == 1
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=500)
 @given(
     eps=st.floats(1e-3, 10.0),
     cells=st.lists(
-        st.tuples(_grid_point, _grid_point).map(sorted), min_size=1, max_size=30
+        st.one_of(
+            st.tuples(_near_grid_point, _near_grid_point),
+            _near_grid_point.map(lambda p: (p, p)),
+        ),
+        min_size=1,
+        max_size=30,
     ),
 )
 def test_box_count_matches_enumeration(eps, cells):
     b = BandSet(
-        [((k0 + q0 / 4) * eps, (k1 + q1 / 4) * eps) for (k0, q0), (k1, q1) in cells]
+        [sorted((_near_grid_value(a, eps), _near_grid_value(z, eps))) for a, z in cells]
     )
     count = boxdim.box_count(b, eps)
     assert type(count) is int and count == _boxes_reference(b, eps)
+
+
+def _box_run(lo, hi, eps):
+    """Least j with (j+1)*eps > lo and greatest j with j*eps < hi, searched
+    four boxes either side of the rounded quotients."""
+    first = [j for j in range(math.floor(lo / eps) - 4, math.floor(lo / eps) + 5)
+             if (j + 1) * eps > lo]
+    last = [j for j in range(math.ceil(hi / eps) - 5, math.ceil(hi / eps) + 4)
+            if j * eps < hi]
+    assert first[0] > math.floor(lo / eps) - 4 and last[-1] < math.ceil(hi / eps) + 3
+    return first[0], last[-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(
+    eps=st.floats(1e-3, 10.0),
+    k=st.integers(-(2**52), 2**52),
+    ulps=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    boxes=st.integers(0, 3),
+)
+def test_box_count_is_exact_up_to_the_index_bound(eps, k, ulps, boxes):
+    # single bands near grid lines with box indices up to 2^52, where the
+    # rounded quotient lo / eps is itself up to half a box off
+    lo = _near_grid_value(((k, 0), ulps[0]), eps)
+    hi = max(_near_grid_value(((k + boxes, 0), ulps[1]), eps), lo)
+    j0, j1 = _box_run(lo, hi, eps)
+    want = 1 if hi == lo else j1 - j0 + 1
+    assert boxdim.box_count(BandSet([(lo, hi)]), eps) == want
 
 
 def test_box_count_rejects_bad_input():
