@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 from .intervals import BandSet, merge_intervals
 from .tracemap import (
     fricke,
-    line_point,
     on_surface,
     per2_point,
     singular_orbit,
@@ -43,7 +42,6 @@ __all__ = [
     "BandSet",
     "__version__",
     "fricke",
-    "line_point",
     "merge_intervals",
     "on_surface",
     "per2_point",

@@ -38,7 +38,6 @@ __all__ = [
     "box_count",
     "box_dimension",
     "cantor_bands",
-    "geometric_scales",
     "local_dimension",
 ]
 
@@ -72,8 +71,8 @@ def box_count(b: BandSet, eps: float) -> int:
     decrease and the count is one pass with no sort: the span
     j1[-1] - j0[0] + 1 less the boxes between consecutive runs.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not b:
         raise ValueError("empty band set has no box count")
     lo, hi = b.intervals.T
@@ -96,16 +95,6 @@ def box_count(b: BandSet, eps: float) -> int:
     return int(j1[-1] - j0[0] + 1 - missed)
 
 
-def geometric_scales(
-    eps_max: float, ratio: float = 0.5, n: int = 7
-) -> list[float]:
-    if not 0 < ratio <= 0.5:
-        raise ValueError("ratio must be in (0, 1/2]")
-    if n < 5:
-        raise ValueError("need at least 5 scales")
-    return [eps_max * ratio**i for i in range(n)]
-
-
 def box_dimension(b: BandSet, eps_grid) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log(1/eps).
 
@@ -115,6 +104,9 @@ def box_dimension(b: BandSet, eps_grid) -> DimensionEstimate:
     toward 1.
     """
     eps = sorted(float(e) for e in eps_grid)
+    bad = [e for e in eps if not 0 < e < math.inf]
+    if bad:
+        raise ValueError(f"scales must be finite and > 0, got {bad[0]}")
     if len(eps) < 5:
         raise ValueError("need at least 5 scales")
     for small, big in zip(eps, eps[1:]):
@@ -163,8 +155,8 @@ def local_dimension(b: BandSet, window, eps_grid) -> DimensionEstimate:
     return box_dimension(restricted, eps_grid)
 
 
-def auto_scale_grid(b: BandSet, ratio: float = 0.5) -> list[float]:
-    """Geometric scale grid adapted to a band set.
+def auto_scale_grid(b: BandSet) -> list[float]:
+    """Geometric scale grid of ratio 1/2 adapted to a band set.
 
     Runs from a quarter of the diameter down to 4x the native
     resolution, the window where the set's Cantor structure is actually
@@ -179,7 +171,7 @@ def auto_scale_grid(b: BandSet, ratio: float = 0.5) -> list[float]:
     grid = []
     while eps >= floor and len(grid) < 64:
         grid.append(eps)
-        eps *= ratio
+        eps *= 0.5
     if len(grid) < 5:
         raise ValueError("band set too coarse for a 5-scale grid")
     return grid

@@ -216,22 +216,14 @@ class ModelMap:
         }
 
 
-def make_model_map(
-    lam: float = LAMBDA_BIG,
-    delta: float = 1e-3,
-    c1: float = 1.0,
-    seed: int | None = None,
-    audit_samples: int = 10000,
-) -> ModelMap:
-    """Construct and audit a model map with the declared bounds."""
-    if lam <= 1.0:
-        raise ValueError("lambda must be > 1")
+def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
+    """Construct and audit a model map with lambda = LAMBDA_BIG and C1 = 1."""
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    m = ModelMap(lam=lam, delta=delta, c1=c1, phases=phases)
-    report = m.audit(samples=audit_samples, rng=rng)
+    m = ModelMap(lam=LAMBDA_BIG, delta=delta, c1=1.0, phases=phases)
+    report = m.audit(rng=rng)
     if delta > 0.0 and not report["df_ok"]:
         raise ValueError(
             f"construction failed its own audit: ||Df - A|| reached "

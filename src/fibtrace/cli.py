@@ -11,7 +11,7 @@ seed and the toolkit version; spectral outputs also record the level
 their cover reached.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
-error, 3 runtime numeric failure.
+error, 3 runtime numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -344,6 +344,17 @@ COMMANDS = {
 }
 
 
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibtrace", description="Trace-map spectra, dimensions, and hyperbolicity "
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", required=True, help="output path (JSON)")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_seed, default=None)
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override a config value (repeatable)",
@@ -370,6 +381,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     config = {key: _record(val) for key, val in params.items()}
     if args.seed is not None:

@@ -230,7 +230,6 @@ def empirical_trace_certificate(
     epsilon: float = 0.1,
     zeta: float = 0.1,
     singular_radius: float = 0.05,
-    norm_cap: float = 10.0,
     rng=None,
 ) -> EmpiricalReport:
     """Cone invariance and expansion statistics along bounded orbits.
@@ -242,6 +241,8 @@ def empirical_trace_certificate(
     singular neighborhoods (measured in the eigenframe of the singular
     differential); the expansion ratio compares the final stretch with
     mu^(n(1-4 eps)).  All samples advance together as (n, 3) arrays.
+    The points are drawn by ``sample_bounded_points`` at its default
+    norm cap and grid.
     """
     if not 0.0 < coupling <= 0.5:
         raise ValueError("empirical certificate expects 0 < V <= 0.5")
@@ -253,9 +254,7 @@ def empirical_trace_certificate(
         raise ValueError("zeta must be in (0, 1)")
     if not singular_radius >= 0.0:
         raise ValueError("singular_radius must be >= 0")
-    pts = sample_bounded_points(
-        coupling, sample_size, n_forward, norm_cap, rng=rng
-    )
+    pts = sample_bounded_points(coupling, sample_size, n_forward, rng=rng)
     return _certify_points(pts, coupling, n_forward, epsilon, zeta, singular_radius)
 
 

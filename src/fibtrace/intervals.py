@@ -13,17 +13,19 @@ def merge_intervals(intervals, gap_tol: float = 0.0) -> np.ndarray:
     """Sort intervals and merge overlaps and gaps narrower than ``gap_tol``.
 
     Takes any sequence of (lo, hi) pairs and returns the merged bands as
-    a sorted (n, 2) float array.
+    a sorted (n, 2) float array.  A pair with hi < lo or a NaN end raises
+    ValueError.
     """
     if not gap_tol >= 0:
         raise ValueError("gap_tol must be >= 0")
     ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
     # np.take gathers whole rows far faster than fancy indexing
     ivs = np.take(ivs, np.argsort(ivs[:, 0], kind="stable"), axis=0)
-    inverted = ivs[:, 1] < ivs[:, 0]
-    if inverted.any():
-        lo, hi = ivs[inverted][0]
-        raise ValueError(f"interval has hi < lo: ({lo}, {hi})")
+    # a NaN end fails lo <= hi as an inverted interval does
+    bad = ~(ivs[:, 0] <= ivs[:, 1])
+    if bad.any():
+        lo, hi = ivs[bad][0]
+        raise ValueError(f"interval has hi < lo or a NaN end: ({lo}, {hi})")
     if not len(ivs):
         return ivs
     # a band starts wherever lo clears everything before it by more than

@@ -6,7 +6,8 @@ Two families are generated.  The exact pair
     D_{k+1} = (lambda - delta) D_k - C1 b_k d_k,   b_k = (lambda - delta)^(k - N)
 
 with d_0 = 1 and D_0 >= C2 (lambda + delta)^(-N/2), and an inequality
-version (a_k, A_k) driven by any admissible height sequence b~_k.  At
+version (a_k, A_k) driven by the same canonical heights b_k from
+A_0 = C2 sqrt(b_0), each step off its bound by a chosen slack.  At
 small enough delta and large enough N the D-component outruns the
 d-component: d_N <= 2 sqrt(delta) D_N and D_N >= D_0 lambda^(N(1-eps)).
 N is capped by ``max_steps``, past which these quantities leave the
@@ -23,9 +24,7 @@ import numpy as np
 __all__ = [
     "RecurrenceParams",
     "RecurrenceRun",
-    "check_heights",
     "dominates",
-    "find_passing_parameters",
     "geometric_heights",
     "max_steps",
     "run_aA",
@@ -202,37 +201,19 @@ def geometric_heights(params: RecurrenceParams, N: int) -> np.ndarray:
     )
 
 
-def check_heights(params: RecurrenceParams, b: np.ndarray) -> None:
-    N = len(b) - 1
-    if np.any(b[: N + 1] <= 0.0):
-        raise ValueError("height sequence must be positive")
-    if not np.all(np.diff(b) > 0.0):
-        raise ValueError("height sequence must be strictly increasing")
-    if not (b[N - 1] < 1.0 <= b[N]):
-        raise ValueError("heights must satisfy b_{N-1} < 1 <= b_N")
-    lo = (params.lam - params.delta) * b[:-1]
-    hi = (params.lam + params.delta) * b[:-1]
-    tol = 1.0 + 1e-12
-    if not np.all((b[1:] >= lo / tol) & (b[1:] <= hi * tol)):
-        raise ValueError(
-            "height growth ratio must stay within lambda -+ delta"
-        )
-
-
 def run_aA(
     params: RecurrenceParams,
     N: int,
-    heights: np.ndarray | None = None,
     slack_schedule: np.ndarray | None = None,
-    A0: float | None = None,
 ) -> RecurrenceRun:
     """Generate admissible inequality pairs (a, A).
 
-    ``slack_schedule`` holds per-step fractions in [0, 1): at step k the
-    a-update undershoots its allowed maximum by slack[k, 0] of itself
-    and the A-update overshoots its required minimum by slack[k, 1] of
-    the current A_k.  Zero slack with the canonical heights reproduces
-    the exact (d, D) pair.
+    The pairs are driven by the canonical heights ``geometric_heights``
+    from A_0 = C2 sqrt(b_0).  ``slack_schedule`` holds per-step
+    fractions in [0, 1): at step k the a-update undershoots its allowed
+    maximum by slack[k, 0] of itself and the A-update overshoots its
+    required minimum by slack[k, 1] of the current A_k.  Zero slack
+    reproduces the exact (d, D) pair.
 
     One (N, 2) schedule gives one run.  A stack of S schedules, shape
     (S, N, 2), is stepped together from the shared heights and A_0 into
@@ -242,17 +223,8 @@ def run_aA(
     bit.
     """
     _check_n(params, N)
-    c2 = params.c2
-    b = geometric_heights(params, N) if heights is None else np.asarray(
-        heights, dtype=float
-    )
-    if len(b) != N + 1:
-        raise ValueError("height sequence must have length N + 1")
-    check_heights(params, b)
-    if A0 is None:
-        A0 = c2 * np.sqrt(b[0])
-    if A0 < c2 * np.sqrt(b[0]) * (1.0 - 1e-12):
-        raise ValueError("A0 below the admissible value C2 sqrt(b_0)")
+    b = geometric_heights(params, N)
+    A0 = params.c2 * np.sqrt(b[0])
     slack = (
         np.zeros((N, 2))
         if slack_schedule is None
@@ -288,48 +260,3 @@ def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:
     D, d = run_d.large, run_d.small
     ok = np.all(A * tol >= D, axis=-1) & np.all((A / a) * tol >= (D / d), axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def find_passing_parameters(
-    base: RecurrenceParams = RecurrenceParams(delta=0.0),
-    n_grid=(50, 100, 200, 400),
-    delta_hi: float = 0.25,
-    bisect_iters: int = 40,
-) -> tuple[float, int]:
-    """Search for a recorded passing pair (delta0, N0).
-
-    For each candidate N, bisects on delta for the largest value whose
-    exact run passes all conclusion and stepwise checks, then returns
-    the smallest N admitting one, with a conservative halving of the
-    threshold delta.
-    """
-
-    def passes(delta: float, N: int) -> bool:
-        p = RecurrenceParams(
-            c1=base.c1,
-            c2=base.c2,
-            lam=base.lam,
-            epsilon=base.epsilon,
-            delta=delta,
-        )
-        r = run_dD(p, N)
-        return (
-            r.passed
-            and r.stepwise_growth_ok
-            and r.stepwise_small_ok
-            and r.dichotomy_ok
-        )
-
-    for N in n_grid:
-        lo, hi = 0.0, delta_hi
-        if not passes(1e-12, N):
-            continue
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if passes(mid, N):
-                lo = mid
-            else:
-                hi = mid
-        if lo > 0.0:
-            return lo / 2.0, N
-    raise RuntimeError("no passing (delta, N) found on the search grid")

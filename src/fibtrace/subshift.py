@@ -6,7 +6,6 @@ import numpy as np
 
 __all__ = [
     "TRANSITION",
-    "admissible",
     "characteristic_root",
     "counts",
     "entropy",
@@ -26,24 +25,6 @@ TRANSITION = np.array(
     ],
     dtype=np.int64,
 )
-
-
-def _check_word(word) -> list[int]:
-    word = [int(s) for s in word]
-    if not word:
-        raise ValueError("word must be nonempty")
-    for s in word:
-        if not 1 <= s <= 6:
-            raise ValueError(f"symbol {s} outside 1..6")
-    return word
-
-
-def admissible(word) -> bool:
-    """True iff every adjacent pair is an allowed transition."""
-    word = _check_word(word)
-    return all(
-        TRANSITION[a - 1, b - 1] == 1 for a, b in zip(word, word[1:])
-    )
 
 
 def counts(n: int) -> tuple[int, int]:

@@ -23,7 +23,6 @@ __all__ = [
     "PER2_POLE_BAND",
     "SurfaceMesh",
     "fricke",
-    "line_point",
     "on_surface",
     "per2_point",
     "singular_orbit",
@@ -100,29 +99,19 @@ def on_surface(p, coupling: float, tol: float = 1e-9) -> bool | np.ndarray:
     return bool(r) if np.ndim(r) == 0 else r
 
 
-def line_point(E: float, coupling: float) -> np.ndarray:
-    """Initial condition ((E - V)/2, E/2, 1) on S_V for energy E."""
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    E = float(E)
-    if not np.isfinite(E):
-        raise ValueError("energy must be finite")
-    return np.array([(E - coupling) / 2.0, E / 2.0, 1.0])
-
-
-def per2_point(x, exclusion_band: float = PER2_POLE_BAND) -> np.ndarray:
+def per2_point(x) -> np.ndarray:
     """Point (x, x/(2x-1), x) on the period-2 curve; n values of x give (n, 3).
 
-    The curve has a pole at x = 1/2; arguments within ``exclusion_band``
+    The curve has a pole at x = 1/2; arguments within ``PER2_POLE_BAND``
     of it are rejected because the y-coordinate loses all accuracy there.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    near = np.abs(x - 0.5) < exclusion_band
+    near = np.abs(x - 0.5) < PER2_POLE_BAND
     if np.any(near):
         raise ValueError(
-            f"x={x[near][0]} is within {exclusion_band} of the pole of the "
+            f"x={x[near][0]} is within {PER2_POLE_BAND} of the pole of the "
             "period-2 curve at x=1/2"
         )
     return np.stack([x, x / (2.0 * x - 1.0), x], axis=-1)

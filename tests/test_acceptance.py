@@ -206,11 +206,11 @@ def test_criterion_10_dimension_oracles():
 
     thirds = shifted(boxdim.cantor_bands(1.0 / 3.0, 10))
     est1 = boxdim.box_dimension(
-        thirds, boxdim.geometric_scales(1.0 / 3.0, ratio=1.0 / 3.0, n=8)
+        thirds, [(1.0 / 3.0) * (1.0 / 3.0) ** i for i in range(8)]
     )
     quarter = shifted(boxdim.cantor_bands(0.25, 10))
     est2 = boxdim.box_dimension(
-        quarter, boxdim.geometric_scales(0.25, ratio=0.25, n=6)
+        quarter, [0.25 * 0.25**i for i in range(6)]
     )
     ok = abs(est1.value - math.log(2) / math.log(3)) <= 0.02
     ok = ok and abs(est2.value - 0.5) <= 0.02

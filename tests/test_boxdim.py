@@ -110,8 +110,9 @@ def test_box_count_is_exact_up_to_the_index_bound(eps, k, ulps, boxes):
 
 
 def test_box_count_rejects_bad_input():
-    with pytest.raises(ValueError):
-        boxdim.box_count(BandSet([(0.0, 1.0)]), 0.0)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            boxdim.box_count(BandSet([(0.0, 1.0)]), eps)
     with pytest.raises(ValueError):
         boxdim.box_count(BandSet([]), 0.1)
 
@@ -135,7 +136,7 @@ def test_single_band_grid_stops_at_the_float_spacing():
 
 def test_unit_interval_has_dimension_one():
     est = boxdim.box_dimension(
-        BandSet([(0.0, 1.0)]), boxdim.geometric_scales(0.25, n=8)
+        BandSet([(0.0, 1.0)]), [0.25 * 0.5**i for i in range(8)]
     )
     assert abs(est.value - 1.0) < 0.01
     assert not est.flagged
@@ -147,7 +148,7 @@ def test_cantor_middle_thirds():
     shifted = BandSet(
         [(lo + 1.0 / 7.0, hi + 1.0 / 7.0) for lo, hi in bands.intervals]
     )
-    grid = boxdim.geometric_scales(1.0 / 3.0, ratio=1.0 / 3.0, n=8)
+    grid = [(1.0 / 3.0) * (1.0 / 3.0) ** i for i in range(8)]
     est = boxdim.box_dimension(shifted, grid)
     assert abs(est.value - math.log(2) / math.log(3)) < 0.02
     # the generic binary grid oscillates but stays in range
@@ -169,9 +170,11 @@ def test_scale_grid_validation():
         boxdim.box_dimension(b, [0.1, 0.05, 0.025])  # too few scales
     with pytest.raises(ValueError):
         # all scales below the resolution floor
-        boxdim.box_dimension(b, boxdim.geometric_scales(1e-7, n=5))
-    with pytest.raises(ValueError):
-        boxdim.geometric_scales(0.1, ratio=0.7)
+        boxdim.box_dimension(b, [1e-7 * 0.5**i for i in range(5)])
+    # a scale that is not finite and > 0 is refused, not dropped
+    for bad in (math.nan, math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            boxdim.box_dimension(b, [bad, 0.1, 0.05, 0.025, 0.0125, 0.00625])
 
 
 def test_local_dimension_window():
@@ -291,7 +294,7 @@ def _gap_width(eps: float, kind: str) -> float:
     bands=st.lists(_band, min_size=1, max_size=30),
 )
 def test_gap_closed_counts_equal_counts_of_the_set(eps_max, n, start, bands):
-    grid = boxdim.geometric_scales(eps_max, n=n)
+    grid = [eps_max * 0.5**i for i in range(n)]
     finest = grid[-1]
     # every band is at most an eighth of the finest scale wide, so all
     # scales stay above 4x the native resolution
@@ -318,7 +321,7 @@ def test_a_point_on_a_grid_line_keeps_its_box():
     # the point at 0.2 counts box [0.2, 0.3); closing the gap of 0.02 < eps/2
     # before it would end the band at 0.2 and lose that box
     b = BandSet([(0.17, 0.18), (0.2, 0.2)])
-    grid = boxdim.geometric_scales(0.8, n=5)
+    grid = [0.8 * 0.5**i for i in range(5)]
     est = boxdim.box_dimension(b, grid)
     assert est.counts == [(e, boxdim.box_count(b, e)) for e in sorted(grid)]
     assert dict(est.counts)[0.1] == 2

@@ -38,8 +38,6 @@ def test_model_map_audit_and_plane_invariance():
 
 def test_model_map_rejects_bad_params():
     with pytest.raises(ValueError):
-        certify.make_model_map(lam=0.9)
-    with pytest.raises(ValueError):
         certify.make_model_map(delta=-1e-3)
 
 

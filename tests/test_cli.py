@@ -373,3 +373,38 @@ def test_readme_field_table_matches_the_code():
         for name, f in fields.items()
     }
     assert rows == code
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_seed_exits_2_at_parse_time(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(tmp_path / "x.json"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: the CLI with its address space capped at 1 GiB once it is imported, so
+#: that an oversized array fails to allocate at once instead of paging
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "from fibtrace import cli\n"
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("mesh", ["coupling=0.1", "resolution=100000"]),
+    ("certify", ["kind=model", "vectors=1000000000"]),
+    ("certify", ["kind=empirical", "coupling=0.05", "n=100000000"]),
+    ("certify", ["kind=recurrence", "slack_schedules=1000000000"]),
+])
+def test_out_of_memory_exits_3(tmp_path, command, sets):
+    argv = [command, "--out", str(tmp_path / "x.json"), "--seed", "1",
+            *(arg for s in sets for arg in ("--set", s))]
+    r = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("out of memory: Unable to allocate")

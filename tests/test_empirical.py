@@ -228,7 +228,7 @@ def test_certificate_input_validation():
         empirical.empirical_trace_certificate(0.05, sample_size=0)
 
 
-# zeta bounds the cone as torus.cone_member_2d requires, epsilon the
+# zeta in (0, 1) bounds the unstable cone |c_u| > |c_s| / zeta, epsilon the
 # target rate mu^(n (1 - 4 eps)), and a negative radius means nothing
 @pytest.mark.parametrize("kw", [
     {"zeta": 0.0}, {"zeta": -1.0}, {"zeta": 1.0},

@@ -63,14 +63,19 @@ def _unused_imports(path):
     return [(line, name) for line, name in imported if name not in used]
 
 
-def test_no_module_imports_a_name_it_never_uses(monkeypatch):
-    # a binding the benchmark's tracer wraps is read through the module
-    # from outside, so it counts as used; TRACED is read as
-    # test_perfbench_bindings reads it
+def _traced(monkeypatch):
+    """(module, attribute) of each binding the benchmark's tracer wraps;
+    TRACED is read as test_perfbench_bindings reads it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "spans", raising=False)
     monkeypatch.delitem(sys.modules, "checks", raising=False)
-    traced = {(module, attr) for module, attr, _, _ in importlib.import_module("spans").TRACED}
+    return {(module, attr) for module, attr, _, _ in importlib.import_module("spans").TRACED}
+
+
+def test_no_module_imports_a_name_it_never_uses(monkeypatch):
+    # a binding the benchmark's tracer wraps is read through the module
+    # from outside, so it counts as used
+    traced = _traced(monkeypatch)
     found = [
         f"{path.name}:{line} imports {name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -110,4 +115,53 @@ def test_all_lists_every_public_function_and_class():
             "fibtrace" if path.stem == "__init__" else f"fibtrace.{path.stem}")
         found += [f"{path.name} lists {name}, which it does not define"
                   for name in listed if not hasattr(module, name)]
+    assert found == []
+
+
+#: public functions that nothing under src/fibtrace calls, kept on purpose
+REFERENCE = {
+    # independent references that tests compare the fast paths against
+    ("spectrum", "half_trace_oracle"): "transfer-matrix products; criterion 02's oracle",
+    ("spectrum", "trace_sequence"): "the half-trace recursion that criterion 02 checks",
+    ("subshift", "enumerate_words"): "word counts by enumeration; criterion 08's oracle",
+    ("subshift", "characteristic_root"): "the dominant root by bisection, against spectral_radius",
+    ("torus", "check_semiconjugacy"): "the defect of T F = F A that criterion 03 bounds",
+    ("tracemap", "trace_step_inv"): "the inverse step the bounded-point screen is checked against",
+    ("tracemap", "on_surface"): "membership in S_V, which tests check points against",
+    ("tracemap", "singular_orbit"): "the singular orbit structure that criterion 05 checks",
+    # ROADMAP item 2 decides whether it stays
+    ("boxdim", "local_dimension"): "the dimension of a window of a band set",
+}
+
+
+def _names_read(tree):
+    """Every name a module reads, as a name or an attribute, outside the
+    definition of a top-level function or class of that name."""
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                yield name
+
+
+def test_every_public_function_has_a_caller(monkeypatch):
+    # the names in __init__ are re-exports, which call nothing
+    traced = _traced(monkeypatch)
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    read = {name for tree in modules.values() for name in _names_read(tree)}
+    public = set()
+    for stem, tree in modules.items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        public |= {(stem, name) for name in _declared_all(tree) or () if name in defined}
+    found = [
+        f"{stem}.{name} has no caller in src/fibtrace"
+        for stem, name in sorted(public)
+        if name not in read and (f"fibtrace.{stem}", name) not in traced
+        and (stem, name) not in REFERENCE
+    ]
+    found += [f"REFERENCE names {stem}.{name}, which is not public"
+              for stem, name in sorted(REFERENCE.keys() - public)]
     assert found == []

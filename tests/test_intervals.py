@@ -41,6 +41,14 @@ def test_merge_rejects_inverted():
         merge_intervals([(0.0, 1.0)], gap_tol=-0.1)
 
 
+def test_nan_ends_are_refused_not_dropped():
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"\(0.0, nan\)"):
+        merge_intervals([(0.0, nan), (0.5, 2.0)])
+    with pytest.raises(ValueError, match=r"\(nan, 1.0\)"):
+        BandSet([(nan, 1.0), (0.5, 2.0)])
+
+
 # quarter-integer endpoints and tolerances make touching bands and gaps
 # of exactly gap_tol common
 _endpoint = st.one_of(st.integers(-40, 40).map(lambda q: q / 4), st.floats(-10, 10))

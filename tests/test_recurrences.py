@@ -58,26 +58,10 @@ def test_random_slack_schedules_dominate():
         assert recurrences.dominates(r_a, r_d)
 
 
-def test_height_sequence_validation():
-    p = RecurrenceParams(delta=1e-3)
-    good = recurrences.geometric_heights(p, 50)
-    recurrences.check_heights(p, good)
-    with pytest.raises(ValueError):
-        recurrences.check_heights(p, good[::-1])  # decreasing
-    bad = good.copy()
-    bad[10] *= 2.0  # ratio outside lambda -+ delta
-    with pytest.raises(ValueError):
-        recurrences.check_heights(p, bad)
-    with pytest.raises(ValueError):
-        recurrences.run_aA(p, 50, heights=good[:-1])
-
-
 def test_a0_and_d0_floors():
     p = RecurrenceParams(delta=1e-3)
     with pytest.raises(ValueError):
         recurrences.run_dD(p, 50, D0=1e-30)
-    with pytest.raises(ValueError):
-        recurrences.run_aA(p, 50, A0=1e-30)
 
 
 def test_slack_schedule_validation():
@@ -92,13 +76,6 @@ def test_large_delta_fails_tail_bound():
     # far past any admissible threshold the d-component catches up
     run = recurrences.run_dD(RecurrenceParams(delta=0.24), 60)
     assert not run.passed
-
-
-def test_find_passing_parameters():
-    delta0, n0 = recurrences.find_passing_parameters(n_grid=(50,))
-    assert delta0 > 0 and n0 == 50
-    run = recurrences.run_dD(RecurrenceParams(delta=delta0), n0)
-    assert run.passed and run.stepwise_growth_ok and run.dichotomy_ok
 
 
 def _slack_stack(rng, S, N):

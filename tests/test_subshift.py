@@ -22,16 +22,6 @@ def test_transition_matrix_bit_exact():
     assert np.array_equal(subshift.TRANSITION, EXPECTED)
 
 
-def test_admissible_words():
-    assert subshift.admissible([1, 4, 6, 2, 5, 1])
-    assert not subshift.admissible([1, 2])
-    assert subshift.admissible([3])
-    with pytest.raises(ValueError):
-        subshift.admissible([])
-    with pytest.raises(ValueError):
-        subshift.admissible([0, 1])
-
-
 def test_counts_match_enumeration():
     for n in range(1, 11):
         words, _ = subshift.counts(n)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from fibtrace.spectrum import trace_sequence
 from fibtrace.tracemap import (
     PER2_POLE_BAND,
     fricke,
-    line_point,
     on_surface,
     per2_point,
     singular_orbit,
@@ -39,16 +39,12 @@ def test_fricke_conserved_by_inverse_too():
 
 
 def test_line_point_lies_on_surface():
+    # the half-traces start from the line point (x_1, x_0, x_{-1}) =
+    # ((E - V)/2, E/2, 1), which has G = V^2/4 for every energy
+    E = np.linspace(-5, 5, 21)
     for V in (0.0, 0.5, 1.0, 4.0):
-        for E in np.linspace(-5, 5, 21):
-            assert on_surface(line_point(E, V), V)
-
-
-def test_line_point_rejects_bad_input():
-    with pytest.raises(ValueError):
-        line_point(np.inf, 1.0)
-    with pytest.raises(ValueError):
-        line_point(0.0, -1.0)
+        x = trace_sequence(E, V, 1)
+        assert np.all(on_surface(np.stack([x[2], x[1], x[0]], axis=-1), V))
 
 
 def test_per2_point_is_period_two():
