@@ -10,7 +10,9 @@ predicted cone expansion quantitatively: vectors in the cone
 
 must grow by at least lambda^((N/2)(1-4 eps)) by the time the orbit's
 z-coordinate exits past 1, and end up within a sqrt(delta)-thin cone
-around the z-axis.
+around the z-axis.  The constants are fixed: lambda = LAMBDA_BIG, the
+bound C1 on the second derivatives is 1 and the cone constant C2 is 1,
+so a model map takes only 0 <= delta <= 2.
 """
 
 from __future__ import annotations
@@ -68,19 +70,17 @@ def singular_eigen() -> SingularEigenData:
     )
 
 
-def cone_member_3d(v, z_p, c2: float) -> bool | np.ndarray:
-    """Membership in the cone |v_z| >= C2 sqrt(|z_p|) |v_xy|.
+def cone_member_3d(v, z_p) -> bool | np.ndarray:
+    """Membership in the cone |v_z| >= C2 sqrt(|z_p|) |v_xy|, C2 = 1.
 
     The boundary counts as inside: the defining inequality is non-strict.
     Accepts (..., 3) vectors with matching (...) heights z_p.
     """
-    if c2 <= 0.0:
-        raise ValueError("C2 must be > 0")
     v = np.asarray(v, dtype=float)
     if np.any(np.linalg.norm(v, axis=-1) == 0.0):
         raise ValueError("zero vector has no cone membership")
     v_xy = np.linalg.norm(v[..., :2], axis=-1)
-    r = np.abs(v[..., 2]) >= c2 * np.sqrt(np.abs(z_p)) * v_xy
+    r = np.abs(v[..., 2]) >= np.sqrt(np.abs(z_p)) * v_xy
     return bool(r) if np.ndim(r) == 0 else r
 
 
@@ -95,6 +95,8 @@ _WAVE_SHIFTS = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) * (np.pi / 2.0)
 _WAVE_GRAD = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 #: d(z * wave)/dz: the waves themselves, in the z-column of Df
 _Z_COLUMN = np.array([0.0, 0.0, 1.0])
+#: the diagonal of the linear part diag(1/lambda, 1, lambda)
+_SCALE = np.array([1.0 / LAMBDA_BIG, 1.0, LAMBDA_BIG])
 
 
 def _spectral_norms(m: np.ndarray) -> np.ndarray:
@@ -134,26 +136,21 @@ class ModelMap:
 
     The off-linear terms all carry a factor of z, so the plane is
     exactly invariant; phases make distinct seeds give distinct maps.
-    ``delta`` and ``c1`` are the audited bounds on ||Df - A|| and on the
-    second derivatives over the working box.  Every method takes
-    (..., 3) arrays of points.  The wave shifts and the linear part are
+    ``delta`` is the audited bound on ||Df - A|| over the working box.
+    Every method takes (..., 3) arrays of points.  The wave shifts are
     computed once, when the map is made.
     """
 
-    lam: float
     delta: float
-    c1: float
     phases: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        # the six shifts of the wave arguments (see ``_waves``) and the
-        # diagonal of the linear part
+        # the six shifts of the wave arguments (see ``_waves``)
         self._shifts = np.concatenate([self.phases, self.phases]) + _WAVE_SHIFTS
-        self._scale = np.array([1.0 / self.lam, 1.0, self.lam])
 
     @property
     def linear(self) -> np.ndarray:
-        return np.diag(self._scale)
+        return np.diag(_SCALE)
 
     def _waves(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2).
@@ -165,7 +162,7 @@ class ModelMap:
         return sines[..., :3], sines[..., 3:]
 
     def _image(self, p: np.ndarray, waves: np.ndarray) -> np.ndarray:
-        return p * self._scale + (self.delta / 8.0) * p[..., 2:3] * waves
+        return p * _SCALE + (self.delta / 8.0) * p[..., 2:3] * waves
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -190,76 +187,73 @@ class ModelMap:
         v = np.asarray(v, dtype=float)
         waves, slopes = self._waves(p)
         s = self.delta / 8.0
-        pushed = v * self._scale
+        pushed = v * _SCALE
         pushed += (s * p[..., 2:3]) * slopes * (v @ _WAVE_GRAD.T)
         pushed += s * waves * v[..., 2:3]
         return self._image(p, waves), pushed
 
-    def audit(self, box: float = 2.0, samples: int = 10000, rng=None) -> dict:
-        """Sampled check of the three structural hypotheses."""
+    def audit(self, samples: int = 10000, rng=None) -> dict:
+        """Sampled check of the structural hypotheses on the box |p_i| <= 2."""
         rng = np.random.default_rng(rng)
-        pts = rng.uniform(-box, box, size=(samples, 3))
+        pts = rng.uniform(-2.0, 2.0, size=(samples, 3))
         dev = _spectral_norms(self._wave_differential(pts))
         worst_df = float(dev.max(initial=0.0))
-        # all second partials of the perturbation are bounded by
-        # (delta/8) * (|z| + 2) on the box
-        second = (self.delta / 8.0) * (box + 2.0)
-        xy = rng.uniform(-box, box, size=(64, 2))
+        xy = rng.uniform(-2.0, 2.0, size=(64, 2))
         plane = np.column_stack([xy, np.zeros(len(xy))])
         plane_drift = float(np.max(np.abs(self(plane)[:, 2])))
         return {
             "df_deviation": worst_df,
             "df_ok": worst_df < self.delta or self.delta == 0.0,
-            "second_derivative_bound": second,
-            "c2_norm_ok": second <= self.c1,
             "plane_invariant": plane_drift == 0.0,
         }
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
-    """Construct and audit a model map with lambda = LAMBDA_BIG and C1 = 1."""
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    """Construct and audit a model map with lambda = LAMBDA_BIG and C1 = 1.
+
+    All second partials of the perturbation are bounded by
+    (delta/8) (|z| + 2) <= delta/2 on the audit's box, so C1 = 1 holds
+    exactly when delta <= 2; a delta outside [0, 2] is refused.
+    """
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError(f"delta must be in [0, 2], got {delta}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    m = ModelMap(lam=LAMBDA_BIG, delta=delta, c1=1.0, phases=phases)
+    m = ModelMap(delta=delta, phases=phases)
     report = m.audit(rng=rng)
     if delta > 0.0 and not report["df_ok"]:
         raise ValueError(
             f"construction failed its own audit: ||Df - A|| reached "
             f"{report['df_deviation']:.3e} >= delta={delta:g}"
         )
-    if not report["c2_norm_ok"]:
-        raise ValueError(
-            "requested delta/C1 combination unattainable: second "
-            f"derivatives reach {report['second_derivative_bound']:.3e}"
-        )
     return m
 
 
 @dataclass
 class ExpansionReport:
-    exit_time: int
-    status: str                  # "ok" or "inconclusive"
-    expansion_at_exit_ok: bool
-    thin_cone_ok: bool
-    expansion_along_orbit_ok: bool | None  # None when eta-condition unmet
+    """Per-row checks of ``expansion_certificates``, each an (n,) array."""
+
+    exit_time: np.ndarray                 # max_iter where the row did not exit
+    exited: np.ndarray                    # False: inconclusive
+    expansion_at_exit_ok: np.ndarray      # False where the row did not exit
+    thin_cone_ok: np.ndarray              # False where the row did not exit
+    expansion_along_orbit_ok: np.ndarray  # True where the eta-condition is unmet
 
     @property
-    def all_ok(self) -> bool:
+    def all_ok(self) -> np.ndarray:
         return (
-            self.status == "ok"
-            and self.expansion_at_exit_ok
-            and self.thin_cone_ok
-            and self.expansion_along_orbit_ok in (True, None)
+            self.exited
+            & self.expansion_at_exit_ok
+            & self.thin_cone_ok
+            & self.expansion_along_orbit_ok
         )
 
 
-def sample_cone_vectors_3d(z_p, c2: float, rng=None) -> np.ndarray:
+def sample_cone_vectors_3d(z_p, rng=None) -> np.ndarray:
     """Random unit vectors in the cone at points with z-coordinates z_p.
 
     A (...) array of heights gives (..., 3) vectors.  Each has a uniform
-    xy-direction and |v_z| / |v_xy| = C2 sqrt(|z_p|) times a log-uniform
+    xy-direction and |v_z| / |v_xy| = sqrt(|z_p|) times a log-uniform
     factor in [1, 1e6], with a random sign.
     """
     rng = np.random.default_rng(rng)
@@ -268,7 +262,7 @@ def sample_cone_vectors_3d(z_p, c2: float, rng=None) -> np.ndarray:
     lift = np.exp(rng.uniform(0.0, np.log(1e6), z_p.shape))
     sign = rng.choice([-1.0, 1.0], z_p.shape)
     v = np.stack(
-        [np.cos(phi), np.sin(phi), c2 * np.sqrt(np.abs(z_p)) * lift * sign], axis=-1
+        [np.cos(phi), np.sin(phi), np.sqrt(np.abs(z_p)) * lift * sign], axis=-1
     )
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -277,11 +271,10 @@ def expansion_certificates(
     m: ModelMap,
     P,
     V,
-    c2: float = 1.0,
     epsilon: float = 0.1,
     eta: float = 0.5,
     max_iter: int = 100000,
-) -> list[ExpansionReport]:
+) -> ExpansionReport:
     """Push cone vectors V at points P to their exit times, all together.
 
     Row i's N is the first iterate whose z-coordinate exceeds 1.  Checks,
@@ -290,7 +283,7 @@ def expansion_certificates(
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
     stepped; a row still inside after ``max_iter`` steps is reported
-    inconclusive.
+    inconclusive.  Returns one report whose fields hold every row.
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -298,15 +291,15 @@ def expansion_certificates(
         raise ValueError("start points and vectors must be matching (n, 3)")
     if not np.all((P[:, 2] > 0.0) & (P[:, 2] < 1.0)):
         raise ValueError("start point must have z in (0, 1)")
-    if not np.all(cone_member_3d(V, P[:, 2], c2)):
+    if not np.all(cone_member_3d(V, P[:, 2])):
         raise ValueError("start vector is outside the cone")
     n = len(P)
     v_xy0 = np.linalg.norm(V[:, :2], axis=-1)
-    rate = m.lam ** (0.5 * (1.0 - 4.0 * epsilon))
+    rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
     eta_start = np.abs(V[:, 2]) >= eta * v_xy0
     exit_time = np.full(n, max_iter)
     w_exit = np.zeros((n, 3))
-    g_exit = np.zeros(n)
+    grew = np.zeros(n, dtype=bool)  # growth at exit met the bound
     dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
     # the rows still stepping, and their points, vectors, starting
     # norms and dips, compacted as rows exit
@@ -319,13 +312,14 @@ def expansion_certificates(
             break
         q, w = m.push(q, w)
         g = np.linalg.norm(w, axis=-1) / v0_norm
-        dip |= g < 0.5 * eta * rate**k
+        bound = rate**k
+        dip |= g < 0.5 * eta * bound
         out = q[:, 2] > 1.0
         if out.any():
             done = active[out]
             exit_time[done] = k
             w_exit[done] = w[out]
-            g_exit[done] = g[out]
+            grew[done] = g[out] >= bound
             dipped[done] = dip[out]
             keep = ~out
             active, q, w = active[keep], q[keep], w[keep]
@@ -334,51 +328,32 @@ def expansion_certificates(
     exited[active] = False
     u_xy = np.linalg.norm(w_exit[:, :2], axis=-1)
     u_z = np.abs(w_exit[:, 2])
-    reports = []
-    for i in range(n):
-        if not exited[i]:
-            reports.append(
-                ExpansionReport(
-                    exit_time=max_iter,
-                    status="inconclusive",
-                    expansion_at_exit_ok=False,
-                    thin_cone_ok=False,
-                    expansion_along_orbit_ok=None,
-                )
-            )
-            continue
-        k = int(exit_time[i])
-        reports.append(
-            ExpansionReport(
-                exit_time=k,
-                status="ok",
-                expansion_at_exit_ok=bool(g_exit[i] >= rate**k),
-                thin_cone_ok=bool(
-                    u_xy[i] < 2.0 * np.sqrt(m.delta) * u_z[i]
-                    if m.delta > 0.0
-                    # delta = 0: the xy-part cannot have grown at all
-                    else u_xy[i] <= v_xy0[i] * (1.0 + 1e-12)
-                ),
-                expansion_along_orbit_ok=(
-                    not dipped[i] if eta_start[i] else None
-                ),
-            )
-        )
-    return reports
+    if m.delta > 0.0:
+        thin = u_xy < 2.0 * np.sqrt(m.delta) * u_z
+    else:  # delta = 0: the xy-part cannot have grown at all
+        thin = u_xy <= v_xy0 * (1.0 + 1e-12)
+    return ExpansionReport(
+        exit_time=exit_time,
+        exited=exited,
+        expansion_at_exit_ok=grew,
+        thin_cone_ok=exited & thin,
+        expansion_along_orbit_ok=~(eta_start & dipped),
+    )
 
 
 def expansion_certificate(
     m: ModelMap,
     p,
     v,
-    c2: float = 1.0,
     epsilon: float = 0.1,
     eta: float = 0.5,
     max_iter: int = 100000,
 ) -> ExpansionReport:
-    """One start point and cone vector; see ``expansion_certificates``."""
+    """One start point and cone vector; see ``expansion_certificates``.
+
+    The report's fields are the one row's Python scalars.
+    """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    return expansion_certificates(
-        m, p[None, :], v[None, :], c2, epsilon, eta, max_iter
-    )[0]
+    rep = expansion_certificates(m, p[None, :], v[None, :], epsilon, eta, max_iter)
+    return ExpansionReport(*(row.item() for row in vars(rep).values()))

@@ -92,7 +92,8 @@ FIELDS: dict[str, dict[str, Field]] = {
         "slack_schedules": Field(int, 100, 0),
     },
     "certify kind=model": {
-        "delta": Field(float, 1e-3, 0.0),
+        # make_model_map's range: C1 = 1 bounds the second derivatives
+        "delta": Field(float, 1e-3, 0.0, 2.0),
         "vectors": Field(int, 1000, 1),
         "n0": Field(int, 200, 1),
     },
@@ -283,12 +284,12 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
         n, n0 = p["vectors"], p["n0"]
         zp = cert.LAMBDA_BIG ** -rng.uniform(n0 + 1, n0 + 40, n)
         points = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), zp])
-        vectors = cert.sample_cone_vectors_3d(zp, 1.0, rng)
-        reps = cert.expansion_certificates(m, points, vectors)
+        vectors = cert.sample_cone_vectors_3d(zp, rng)
+        rep = cert.expansion_certificates(m, points, vectors)
         return {"report": {
             "kind": "model", "delta": _fmt(p["delta"]), "vectors": p["vectors"],
-            "passed": sum(rep.all_ok for rep in reps),
-            "inconclusive": sum(rep.status == "inconclusive" for rep in reps),
+            "passed": int(np.count_nonzero(rep.all_ok)),
+            "inconclusive": int(np.count_nonzero(~rep.exited)),
         }}
     rep = empirical.empirical_trace_certificate(
         p["coupling"], sample_size=p["samples"], n_forward=p["n"], epsilon=p["epsilon"],

@@ -9,15 +9,13 @@ import numpy as np
 __all__ = ["BandSet", "merge_intervals"]
 
 
-def merge_intervals(intervals, gap_tol: float = 0.0) -> np.ndarray:
-    """Sort intervals and merge overlaps and gaps narrower than ``gap_tol``.
+def merge_intervals(intervals) -> np.ndarray:
+    """Sort intervals and merge the ones that overlap or touch.
 
     Takes any sequence of (lo, hi) pairs and returns the merged bands as
     a sorted (n, 2) float array.  A pair with hi < lo or a NaN end raises
-    ValueError.
+    ValueError.  ``BandSet.close_gaps`` closes gaps of a given width.
     """
-    if not gap_tol >= 0:
-        raise ValueError("gap_tol must be >= 0")
     ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
     # np.take gathers whole rows far faster than fancy indexing
     ivs = np.take(ivs, np.argsort(ivs[:, 0], kind="stable"), axis=0)
@@ -28,11 +26,10 @@ def merge_intervals(intervals, gap_tol: float = 0.0) -> np.ndarray:
         raise ValueError(f"interval has hi < lo or a NaN end: ({lo}, {hi})")
     if not len(ivs):
         return ivs
-    # a band starts wherever lo clears everything before it by more than
-    # gap_tol; with gap_tol >= 0 the running max of hi is the reach of the
-    # band being built
+    # a band starts wherever lo clears everything before it; the running
+    # max of hi is the reach of the band being built
     reach = np.maximum.accumulate(ivs[:, 1])
-    starts = np.flatnonzero(np.r_[True, ivs[1:, 0] > reach[:-1] + gap_tol])
+    starts = np.flatnonzero(np.r_[True, ivs[1:, 0] > reach[:-1]])
     return np.column_stack([ivs[starts, 0], np.maximum.reduceat(ivs[:, 1], starts)])
 
 
@@ -105,12 +102,12 @@ class BandSet:
         lo, hi = self.intervals.T
         return bool(np.any((lo - slack <= e) & (e <= hi + slack)))
 
-    def union(self, other: "BandSet", gap_tol: float = 0.0) -> "BandSet":
+    def union(self, other: "BandSet") -> "BandSet":
         # the merged array is already sorted and disjoint, so it is set
         # directly rather than merged again by __post_init__
         merged = object.__new__(BandSet)
         merged.intervals = merge_intervals(
-            np.concatenate([self.intervals, other.intervals]), gap_tol
+            np.concatenate([self.intervals, other.intervals])
         )
         merged.generation = max(self.generation, other.generation)
         return merged
@@ -119,8 +116,8 @@ class BandSet:
         """The band set with every gap of width <= ``gap_tol`` closed.
 
         Requires ``intervals`` sorted and disjoint, as ``BandSet`` keeps
-        them, so it runs in one pass with no sort.  The bands equal
-        ``merge_intervals(self.intervals, gap_tol)`` bit for bit.
+        them, so it runs in one pass with no sort.  This is the only way
+        to close gaps; ``union`` and ``merge_intervals`` close none.
         """
         if not gap_tol >= 0:
             raise ValueError("gap_tol must be >= 0")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fibtrace import boxdim, cli
+from fibtrace import boxdim, certify, cli
 
 
 def run_cli(*args):
@@ -358,21 +358,51 @@ def test_config_records_every_resolved_field(tmp_path, capsys):
     assert config == {"coupling": "1.0", "k": "10", "resolution": "0.0001"}
 
 
+def test_model_delta_is_bounded_by_c1(tmp_path):
+    # C1 = 1 bounds the model map's second derivatives only up to delta = 2
+    out = tmp_path / "model.json"
+    argv = ["certify", "--seed", "1", "--set", "kind=model", "--out", str(out)]
+    r = run_cli(*argv, "--set", "delta=3")
+    assert r.returncode == 2
+    assert "config error: delta: must be <= 2.0" in r.stderr
+    r = run_cli(*argv, "--set", "delta=2")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(out.read_text())["report"]
+    assert report["passed"] == report["vectors"]
+    with pytest.raises(ValueError, match="delta must be in"):
+        certify.make_model_map(delta=2.5)
+
+
+def _bound_text(name, field):
+    """The field's bounds as ``cli._number``'s messages write them."""
+    parts = []
+    for bad in _past_bounds(field):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli._number(name, field, bad)
+        parts.append(str(exc.value).partition(": must be ")[2].partition(", got")[0])
+    return ", ".join(parts)
+
+
 def test_readme_field_table_matches_the_code():
     # every row of README's CLI field table is "| table | field | type |
-    # default | bound |"; the rows and the code's tables must agree
+    # default | bound |"; the rows and the code's tables must agree, and
+    # each bound cell starts with the bounds the code holds the field to
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = set()
+    rows, bounds = set(), {}
     for line in readme.splitlines():
         cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
         if len(cells) == 5 and cells[0].split(" ")[0] in cli.COMMANDS:
             rows.add((cells[0], cells[1], cells[3]))
+            bounds[cells[0], cells[1]] = cells[4].removeprefix("each ")
     code = {
         (table, name, "required" if f.default is None else cli._record(f.default))
         for table, fields in cli.FIELDS.items()
         for name, f in fields.items()
     }
     assert rows == code
+    for table, fields in cli.FIELDS.items():
+        for name, f in fields.items():
+            assert bounds[table, name].startswith(_bound_text(name, f)), (table, name)
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

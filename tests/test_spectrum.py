@@ -57,7 +57,7 @@ def test_free_spectrum_is_interval():
 def test_covers_nested_and_shrinking():
     chain = spectrum.approximant_chain(9, 1.0)
     covers = [
-        chain[k - 1].union(chain[k], gap_tol=1e-4) for k in range(2, 9)
+        chain[k - 1].union(chain[k]).close_gaps(1e-4) for k in range(2, 9)
     ]
     slack = 1e-3
     for a, b in zip(covers, covers[1:]):
