@@ -32,7 +32,6 @@ from .tracemap import (
     per2_point,
     singular_orbit,
     singular_points,
-    surface_mesh,
     trace_orbit,
     trace_step,
     trace_step_inv,
@@ -47,7 +46,6 @@ __all__ = [
     "per2_point",
     "singular_orbit",
     "singular_points",
-    "surface_mesh",
     "trace_orbit",
     "trace_step",
     "trace_step_inv",

@@ -283,7 +283,8 @@ def expansion_certificates(
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
     stepped; a row still inside after ``max_iter`` steps is reported
-    inconclusive.  Returns one report whose fields hold every row.
+    inconclusive, and a pushed vector whose norm overflows raises
+    ValueError.  Returns one report whose fields hold every row.
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -311,7 +312,10 @@ def expansion_certificates(
         if not len(active):
             break
         q, w = m.push(q, w)
-        g = np.linalg.norm(w, axis=-1) / v0_norm
+        with np.errstate(over="ignore"):
+            g = np.linalg.norm(w, axis=-1) / v0_norm
+        if not np.isfinite(g).all():
+            raise ValueError(f"pushed vector norm overflowed at step {k}")
         bound = rate**k
         dip |= g < 0.5 * eta * bound
         out = q[:, 2] > 1.0

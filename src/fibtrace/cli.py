@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import boxdim, empirical, recurrences, spectrum, subshift
 from . import certify as cert
-from .tracemap import PER2_POLE_BAND, per2_point, surface_mesh
+from .tracemap import PER2_POLE_BAND, per2_point, surface_points
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -54,6 +54,10 @@ class Field(NamedTuple):
 
 #: a cover at level k also builds level k + 1
 MAX_K = spectrum.MAX_LEVEL - 1
+
+#: the last model n0 whose start heights, down to LAMBDA_BIG^-(n0 + 40),
+#: are normal floats (by the rule of recurrences.max_steps)
+MAX_N0 = math.floor(-math.log(np.finfo(float).tiny) / math.log(cert.LAMBDA_BIG)) - 40
 
 #: the field that picks the table of a command, and its default
 SELECTORS = {"dimension": ("mode", "spectrum"), "certify": ("kind", "recurrence")}
@@ -95,7 +99,7 @@ FIELDS: dict[str, dict[str, Field]] = {
         # make_model_map's range: C1 = 1 bounds the second derivatives
         "delta": Field(float, 1e-3, 0.0, 2.0),
         "vectors": Field(int, 1000, 1),
-        "n0": Field(int, 200, 1),
+        "n0": Field(int, 200, 1, MAX_N0),
     },
     "certify kind=empirical": {
         # the bounds empirical_trace_certificate checks
@@ -107,12 +111,14 @@ FIELDS: dict[str, dict[str, Field]] = {
         "singular_radius": Field(float, 0.05, 0.0),
     },
     "mesh": {
-        "coupling": Field(float, lo=0.0),
+        # (x^2 - 1)(y^2 - 1) <= 1e304 and V^2/4 <= 2.5e299, so that the
+        # sheets xy +- sqrt((x^2 - 1)(y^2 - 1) + V^2/4) stay finite
+        "coupling": Field(float, lo=0.0, hi=1e150),
         "resolution": Field(int, 101, 2),
-        "x_min": Field(float, -2.0),
-        "x_max": Field(float, 2.0),
-        "y_min": Field(float, -2.0),
-        "y_max": Field(float, 2.0),
+        "x_min": Field(float, -2.0, -1e76, 1e76),
+        "x_max": Field(float, 2.0, -1e76, 1e76),
+        "y_min": Field(float, -2.0, -1e76, 1e76),
+        "y_max": Field(float, 2.0, -1e76, 1e76),
         "per2": Field(bool, False),
     },
     "subshift": {"n": Field(int, 10, 1, 20)},
@@ -308,15 +314,16 @@ def cmd_mesh(p: dict, out: str, seed: int | None) -> dict:
     x_win, y_win = (p["x_min"], p["x_max"]), (p["y_min"], p["y_max"])
     if x_win[1] <= x_win[0] or y_win[1] <= y_win[0]:
         raise ConfigError("x_max/y_max: window must have positive extent")
-    mesh = surface_mesh(p["coupling"], x_win, y_win, p["resolution"])
-    pts = mesh.points()
-    rows = [(_fmt(x), _fmt(y), _fmt(z), "+" if sheet > 0 else "-")
-            for x, y, z, sheet in pts.tolist()]
+    xs = np.linspace(*x_win, p["resolution"])
+    ys = np.linspace(*y_win, p["resolution"])
+    x, y, z = surface_points(p["coupling"], *np.meshgrid(xs, ys, indexing="ij"))
+    half = len(x) // 2
+    rows = [(_fmt(a), _fmt(b), _fmt(c), "+" if i < half else "-")
+            for i, (a, b, c) in enumerate(zip(x.tolist(), y.tolist(), z.tolist()))]
     _write_csv(out + ".csv", "x,y,z,sheet", rows)
-    result = {"points_emitted": int(len(pts)), "nodes_valid": int(mesh.valid.sum()),
-              "nodes_total": int(mesh.valid.size)}
+    result = {"points_emitted": 2 * half, "nodes_valid": half,
+              "nodes_total": p["resolution"] ** 2}
     if p["per2"]:
-        xs = np.linspace(*x_win, p["resolution"])
         curve = per2_point(xs[np.abs(xs - 0.5) >= PER2_POLE_BAND])
         curve = curve[(y_win[0] <= curve[:, 1]) & (curve[:, 1] <= y_win[1])]
         rows = [map(_fmt, q) for q in curve.tolist()]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import torus
 from .certify import singular_eigen
-from .tracemap import singular_points, trace_orbit, trace_step
+from .tracemap import singular_points, surface_points, trace_orbit, trace_step
 
 __all__ = [
     "EmpiricalReport",
@@ -25,8 +25,6 @@ __all__ = [
     "sample_bounded_points",
     "trace_jacobian",
 ]
-
-MU = torus.MU
 
 
 def trace_jacobian(p) -> np.ndarray:
@@ -62,15 +60,7 @@ def _surface_candidates(coupling: float, grid: int, rng) -> tuple[np.ndarray, ..
     xx, yy = np.meshgrid(u, u, indexing="ij")
     xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
     yy = yy + rng.uniform(-0.5, 0.5, yy.shape) * (u[1] - u[0])
-    disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
-    ok = disc >= 0.0
-    root = np.sqrt(np.where(ok, disc, 0.0))
-    xy = xx * yy
-    return (
-        np.concatenate([xx[ok], xx[ok]]),
-        np.concatenate([yy[ok], yy[ok]]),
-        np.concatenate([(xy + root)[ok], (xy - root)[ok]]),
-    )
+    return surface_points(coupling, xx, yy)
 
 
 def _off_vertices(x, y, z) -> np.ndarray:
@@ -144,8 +134,7 @@ def _unstable_frame(p) -> tuple[np.ndarray, np.ndarray]:
     """
     t = torus.invert_semiconj(p)
     jac = torus.df_semiconj(t)
-    e = torus.eigen_data()
-    return jac @ e.v_u, jac @ e.v_s
+    return jac @ torus.V_U, jac @ torus.V_S
 
 
 def _project_tangent(v, p) -> np.ndarray:
@@ -192,8 +181,6 @@ def _frame_coefficients(e_u, e_s, w) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EmpiricalReport:
-    coupling: float
-    n_steps: int
     samples_total: int
     samples_used: int
     inconclusive: int
@@ -255,12 +242,11 @@ def empirical_trace_certificate(
     if not singular_radius >= 0.0:
         raise ValueError("singular_radius must be >= 0")
     pts = sample_bounded_points(coupling, sample_size, n_forward, rng=rng)
-    return _certify_points(pts, coupling, n_forward, epsilon, zeta, singular_radius)
+    return _certify_points(pts, n_forward, epsilon, zeta, singular_radius)
 
 
 def _certify_points(
     pts: np.ndarray,
-    coupling: float,
     n_forward: int,
     epsilon: float,
     zeta: float,
@@ -270,7 +256,7 @@ def _certify_points(
     bounded points."""
     frame = singular_eigen().eigenvectors
     inv_frame = np.linalg.inv(frame)
-    target = MU ** (n_forward * (1.0 - 4.0 * epsilon))
+    target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
     n = len(pts)
     # the carried vector v is dropped inside every singular neighborhood
     # and re-seeded on exit, mirroring how the orbit is split into
@@ -318,8 +304,6 @@ def _certify_points(
     used = has_total & checked & np.isfinite(g) & (g != 0.0)
     ratios = g[used] / target
     return EmpiricalReport(
-        coupling=coupling,
-        n_steps=n_forward,
         samples_total=n,
         samples_used=len(ratios),
         inconclusive=n - len(ratios),

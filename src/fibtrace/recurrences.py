@@ -66,7 +66,6 @@ class RecurrenceRun:
 
     params: RecurrenceParams
     n: int
-    kind: str  # "dD" or "aA"
     small: np.ndarray
     large: np.ndarray
     heights: np.ndarray
@@ -187,11 +186,7 @@ def run_dD(
         raise ValueError("D0 below the admissible boundary value")
     b = geometric_heights(params, N)
     d, D = _step(params, b, D0, np.zeros((N, 2)))
-    return _finish(
-        RecurrenceRun(
-            params=params, n=N, kind="dD", small=d, large=D, heights=b
-        )
-    )
+    return _finish(RecurrenceRun(params=params, n=N, small=d, large=D, heights=b))
 
 
 def geometric_heights(params: RecurrenceParams, N: int) -> np.ndarray:
@@ -240,11 +235,7 @@ def run_aA(
             "slack schedule must be (N, 2) or (S, N, 2) fractions in [0, 1)"
         )
     a, A = _step(params, b, A0, slack)
-    return _finish(
-        RecurrenceRun(
-            params=params, n=N, kind="aA", small=a, large=A, heights=b
-        )
-    )
+    return _finish(RecurrenceRun(params=params, n=N, small=a, large=A, heights=b))
 
 
 def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:

@@ -11,8 +11,6 @@ intertwines it with the trace map on the bounded part of S_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tracemap import trace_step
@@ -20,10 +18,10 @@ from .tracemap import trace_step
 __all__ = [
     "MU",
     "TORUS_MATRIX",
-    "EigenData",
+    "V_S",
+    "V_U",
     "check_semiconjugacy",
     "df_semiconj",
-    "eigen_data",
     "invert_semiconj",
     "semiconj",
     "torus_auto",
@@ -33,26 +31,10 @@ MU = (1.0 + np.sqrt(5.0)) / 2.0
 
 TORUS_MATRIX = np.array([[1.0, 1.0], [1.0, 0.0]])
 
-
-@dataclass(frozen=True)
-class EigenData:
-    """Eigenvalue mu and unit eigenvectors of the torus matrix.
-
-    A v_u = mu v_u and A v_s = -(1/mu) v_s; the two vectors happen to be
-    orthogonal.
-    """
-
-    mu: float
-    v_u: np.ndarray
-    v_s: np.ndarray
-
-
-def eigen_data() -> EigenData:
-    v_u = np.array([MU, 1.0])
-    v_s = np.array([1.0, -MU])
-    return EigenData(
-        mu=MU, v_u=v_u / np.linalg.norm(v_u), v_s=v_s / np.linalg.norm(v_s)
-    )
+#: unit eigenvectors of the torus matrix: A V_U = MU V_U and
+#: A V_S = -(1/MU) V_S; the two happen to be orthogonal
+V_U = np.array([MU, 1.0]) / np.linalg.norm([MU, 1.0])
+V_S = np.array([1.0, -MU]) / np.linalg.norm([1.0, -MU])
 
 
 def torus_auto(t) -> np.ndarray:

@@ -15,19 +15,16 @@ that runs it for many steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "PER2_POLE_BAND",
-    "SurfaceMesh",
     "fricke",
     "on_surface",
     "per2_point",
     "singular_orbit",
     "singular_points",
-    "surface_mesh",
+    "surface_points",
     "trace_orbit",
     "trace_step",
     "trace_step_inv",
@@ -139,62 +136,22 @@ def singular_orbit() -> dict:
     }
 
 
-@dataclass
-class SurfaceMesh:
-    """Two-sheeted sample of a surface S_V over an (x, y) grid.
+def surface_points(coupling: float, x, y) -> tuple[np.ndarray, ...]:
+    """x, y and z columns of the points of S_V over same-shaped x and y.
 
-    For each grid node the quadratic z^2 - 2xyz + (x^2 + y^2 - 1 - V^2/4)
-    has zero, one, or two real roots z = xy +- sqrt((x^2-1)(y^2-1) + V^2/4);
-    ``valid`` marks nodes where the discriminant is nonnegative.
+    Over each node the quadratic z^2 - 2xyz + (x^2 + y^2 - 1 - V^2/4)
+    has the real roots z = xy +- sqrt((x^2-1)(y^2-1) + V^2/4) where the
+    discriminant is >= 0.  The upper sheet's points come first, then the
+    lower sheet's, each over those nodes in array order.
     """
-
-    coupling: float
-    x: np.ndarray          # (nx,) grid abscissae
-    y: np.ndarray          # (ny,) grid ordinates
-    z_plus: np.ndarray     # (nx, ny) upper sheet, NaN where invalid
-    z_minus: np.ndarray    # (nx, ny) lower sheet, NaN where invalid
-    valid: np.ndarray = field(repr=False)  # (nx, ny) bool
-
-    def points(self) -> np.ndarray:
-        """All emitted (x, y, z, sheet) rows; sheet is +1 or -1."""
-        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
-        rows = []
-        for z, sheet in ((self.z_plus, 1.0), (self.z_minus, -1.0)):
-            m = self.valid
-            rows.append(
-                np.column_stack(
-                    [xx[m], yy[m], z[m], np.full(int(m.sum()), sheet)]
-                )
-            )
-        return np.vstack(rows)
-
-
-def surface_mesh(
-    coupling: float,
-    x_range=(-2.0, 2.0),
-    y_range=(-2.0, 2.0),
-    resolution: int = 101,
-) -> SurfaceMesh:
-    """Sample both z-sheets of S_V over a rectangular (x, y) grid."""
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if not (np.isfinite(x_range).all() and np.isfinite(y_range).all()):
-        raise ValueError("ranges must be finite")
-    x = np.linspace(x_range[0], x_range[1], resolution)
-    y = np.linspace(y_range[0], y_range[1], resolution)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    disc = (xx * xx - 1.0) * (yy * yy - 1.0) + coupling * coupling / 4.0
-    valid = disc >= 0.0
-    root = np.sqrt(np.where(valid, disc, np.nan))
-    z_plus = xx * yy + root
-    z_minus = xx * yy - root
-    return SurfaceMesh(
-        coupling=float(coupling),
-        x=x,
-        y=y,
-        z_plus=z_plus,
-        z_minus=z_minus,
-        valid=valid,
+    # the order of these temporaries sets the bounded-point sampler's
+    # peak memory (test_sampler_peak_memory_is_pinned)
+    disc = (x * x - 1.0) * (y * y - 1.0) + coupling * coupling / 4.0
+    ok = disc >= 0.0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    xy = x * y
+    return (
+        np.concatenate([x[ok], x[ok]]),
+        np.concatenate([y[ok], y[ok]]),
+        np.concatenate([(xy + root)[ok], (xy - root)[ok]]),
     )

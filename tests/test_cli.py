@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibtrace import boxdim, certify, cli
@@ -138,6 +139,41 @@ def test_mesh_with_per2_overlay(tmp_path):
     per2 = (tmp_path / "m.json.per2.csv").read_text().splitlines()
     assert per2[0] == "x,y,z"
     assert len(per2) > 1
+
+
+def test_mesh_csv_contract(tmp_path, capsys):
+    code, _, out = run_main(tmp_path, capsys, "mesh", "--set", "coupling=0.1",
+                            "--set", "resolution=41")
+    assert code == 0
+    lines = Path(f"{out}.csv").read_text().splitlines()
+    assert lines[0] == "x,y,z,sheet"
+    rows = [line.split(",") for line in lines[1:]]
+    x, y, z = (np.array([float(r[i]) for r in rows]) for i in range(3))
+    sheets = [r[3] for r in rows]
+    half = len(rows) // 2
+    assert half > 0 and sheets == ["+"] * half + ["-"] * half
+    g = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+    assert np.all(np.abs(g - 0.1**2 / 4.0) <= 1e-9)
+    assert np.all(z[:half] >= x[:half] * y[:half])
+    assert np.all(z[half:] <= x[half:] * y[half:])
+    assert np.array_equal(x[:half], x[half:]) and np.array_equal(y[:half], y[half:])
+    payload = json.loads(out.read_text())
+    assert payload["points_emitted"] == len(rows)
+    assert payload["nodes_valid"] == half and payload["nodes_total"] == 41**2
+
+
+def test_mesh_corner_window_at_the_largest_coupling_is_finite(tmp_path, capsys):
+    # in-process, so that an overflow warning fails the test
+    big = cli.FIELDS["mesh"]["x_max"].hi
+    sets = [f"coupling={cli.FIELDS['mesh']['coupling'].hi!r}", f"x_min={-big!r}",
+            f"x_max={big!r}", f"y_min={-big!r}", f"y_max={big!r}", "per2=yes"]
+    code, err, out = run_main(tmp_path, capsys, "mesh",
+                              *(a for s in sets for a in ("--set", s)))
+    assert code == 0, err
+    for suffix in (".csv", ".per2.csv"):
+        rows = Path(f"{out}{suffix}").read_text().splitlines()[1:]
+        vals = np.array([[float(v) for v in r.split(",")[:3]] for r in rows])
+        assert len(vals) and np.all(np.isfinite(vals))
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -371,6 +407,22 @@ def test_model_delta_is_bounded_by_c1(tmp_path):
     assert report["passed"] == report["vectors"]
     with pytest.raises(ValueError, match="delta must be in"):
         certify.make_model_map(delta=2.5)
+
+
+def test_model_n0_is_bounded_and_an_overflow_exits_3(tmp_path, capsys):
+    # in-process, so that an overflow warning fails the test: past n0 =
+    # 696 the start heights are subnormal; at 696 the pushed norms overflow
+    argv = ["certify", "--seed", "1", "--set", "kind=model"]
+    code, err, out = run_main(tmp_path, capsys, *argv, "--set", "n0=697")
+    assert code == 2 and "config error: n0: must be <= 696" in err
+    assert list(tmp_path.iterdir()) == []
+    code, err, out = run_main(tmp_path, capsys, *argv, "--set", "n0=696")
+    assert code == 3 and "numeric failure: pushed vector norm overflowed" in err
+    assert not out.exists()
+    code, err, out = run_main(tmp_path, capsys, *argv, "--set", "n0=200")
+    assert code == 0, err
+    report = json.loads(out.read_text())["report"]
+    assert report["passed"] == report["vectors"] == 1000
 
 
 def _bound_text(name, field):

@@ -276,7 +276,7 @@ def test_certificate_statistics_are_pinned(kw, counts, min_ratio):
     # of the earlier full-screen draw
     n_forward = kw.get("n_forward", 30)
     pts = _reference_sample(0.05, kw["sample_size"], n_forward, rng=kw["rng"])
-    rep = empirical._certify_points(pts, 0.05, n_forward, 0.1, 0.1,
+    rep = empirical._certify_points(pts, n_forward, 0.1, 0.1,
                                     kw.get("singular_radius", 0.05))
     got = (rep.samples_total, rep.inconclusive, rep.cone_checks, rep.cone_hits)
     assert got == counts

@@ -6,13 +6,12 @@ from fibtrace.tracemap import fricke
 
 
 def test_eigen_data_exact():
-    e = torus.eigen_data()
-    assert abs(e.mu - (1 + np.sqrt(5)) / 2) < 1e-15
-    assert np.allclose(torus.TORUS_MATRIX @ e.v_u, e.mu * e.v_u, atol=1e-14)
-    assert np.allclose(
-        torus.TORUS_MATRIX @ e.v_s, -(1 / e.mu) * e.v_s, atol=1e-14
-    )
-    assert abs(e.v_u @ e.v_s) < 1e-15  # orthogonal eigenbasis
+    mu, v_u, v_s = torus.MU, torus.V_U, torus.V_S
+    assert abs(mu - (1 + np.sqrt(5)) / 2) < 1e-15
+    assert np.allclose(torus.TORUS_MATRIX @ v_u, mu * v_u, atol=1e-14)
+    assert np.allclose(torus.TORUS_MATRIX @ v_s, -(1 / mu) * v_s, atol=1e-14)
+    assert np.allclose([v_u @ v_u, v_s @ v_s], 1.0, atol=1e-15)  # unit vectors
+    assert abs(v_u @ v_s) < 1e-15  # orthogonal eigenbasis
 
 
 def test_torus_auto_inverse():

@@ -9,7 +9,7 @@ from fibtrace.tracemap import (
     per2_point,
     singular_orbit,
     singular_points,
-    surface_mesh,
+    surface_points,
     trace_orbit,
     trace_step,
     trace_step_inv,
@@ -88,29 +88,19 @@ def test_singular_points_shape():
     assert singular_points().shape == (4, 3)
 
 
-def test_surface_mesh_points_lie_on_surface():
-    mesh = surface_mesh(0.01, resolution=41)
-    pts = mesh.points()
-    assert len(pts) > 0
-    assert np.all(on_surface(pts[:, :3], 0.01, tol=1e-9))
-    assert set(np.unique(pts[:, 3])) <= {-1.0, 1.0}
-
-
-def test_surface_mesh_validity_mask():
-    mesh = surface_mesh(0.0, x_range=(-2, 2), y_range=(-2, 2), resolution=81)
+def test_surface_points_keeps_only_real_nodes():
     # at V=0 the region |x|<1, |y|>1 (and vice versa) has no real sheet
-    assert not mesh.valid.all()
-    assert mesh.valid.any()
-    assert np.isnan(mesh.z_plus[~mesh.valid]).all()
-
-
-def test_surface_mesh_rejects_bad_args():
-    with pytest.raises(ValueError):
-        surface_mesh(-1.0)
-    with pytest.raises(ValueError):
-        surface_mesh(1.0, resolution=1)
-    with pytest.raises(ValueError):
-        surface_mesh(1.0, x_range=(0.0, np.inf))
+    u = np.linspace(-2.0, 2.0, 81)
+    xx, yy = np.meshgrid(u, u, indexing="ij")
+    x, y, z = surface_points(0.0, xx, yy)
+    real = (xx * xx - 1.0) * (yy * yy - 1.0) >= 0.0
+    assert 0 < real.sum() < real.size
+    half = len(x) // 2
+    for col, grid in ((x, xx), (y, yy)):
+        assert np.array_equal(col[:half], grid[real])
+        assert np.array_equal(col[half:], grid[real])
+    assert np.all(z[:half] >= z[half:])
+    assert np.all(on_surface(np.stack([x, y, z], axis=-1), 0.0, tol=1e-9))
 
 
 def test_nonfinite_points_rejected():
