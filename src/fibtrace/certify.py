@@ -130,6 +130,25 @@ def _spectral_norms(m: np.ndarray) -> np.ndarray:
     return top * np.sqrt(np.maximum(largest, 0.0))
 
 
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (n, k) array.
+
+    Where the plain norm is not finite, as when the squares of finite
+    components overflow, the row is divided by its largest |component|
+    first and its norm scaled back, so that only rows whose norm itself
+    passes the float range, or that hold inf or NaN, come out inf or NaN.
+    """
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(w, axis=-1)
+    big = ~np.isfinite(r)
+    if big.any():
+        wb = w[big]
+        top = np.max(np.abs(wb), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r[big] = top * np.linalg.norm(wb / top[:, None], axis=-1)
+    return r
+
+
 @dataclass
 class ModelMap:
     """A perturbation of diag(1/lambda, 1, lambda) fixing the plane {z=0}.
@@ -283,7 +302,9 @@ def expansion_certificates(
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
     stepped; a row still inside after ``max_iter`` steps is reported
-    inconclusive, and a pushed vector whose norm overflows raises
+    inconclusive.  Norms whose squares overflow are taken scaled by the
+    row's largest |component| (``_row_norms``); a pushed vector whose
+    growth is still not finite, as when its components overflow, raises
     ValueError.  Returns one report whose fields hold every row.
     """
     P = np.asarray(P, dtype=float)
@@ -295,7 +316,7 @@ def expansion_certificates(
     if not np.all(cone_member_3d(V, P[:, 2])):
         raise ValueError("start vector is outside the cone")
     n = len(P)
-    v_xy0 = np.linalg.norm(V[:, :2], axis=-1)
+    v_xy0 = _row_norms(V[:, :2])
     rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
     eta_start = np.abs(V[:, 2]) >= eta * v_xy0
     exit_time = np.full(n, max_iter)
@@ -306,14 +327,14 @@ def expansion_certificates(
     # norms and dips, compacted as rows exit
     active = np.arange(n)
     q, w = P, V
-    v0_norm = np.linalg.norm(V, axis=-1)
+    v0_norm = _row_norms(V)
     dip = np.zeros(n, dtype=bool)
     for k in range(1, max_iter + 1):
         if not len(active):
             break
         q, w = m.push(q, w)
         with np.errstate(over="ignore"):
-            g = np.linalg.norm(w, axis=-1) / v0_norm
+            g = _row_norms(w) / v0_norm
         if not np.isfinite(g).all():
             raise ValueError(f"pushed vector norm overflowed at step {k}")
         bound = rate**k
@@ -330,7 +351,7 @@ def expansion_certificates(
             v0_norm, dip = v0_norm[keep], dip[keep]
     exited = np.ones(n, dtype=bool)
     exited[active] = False
-    u_xy = np.linalg.norm(w_exit[:, :2], axis=-1)
+    u_xy = _row_norms(w_exit[:, :2])
     u_z = np.abs(w_exit[:, 2])
     if m.delta > 0.0:
         thin = u_xy < 2.0 * np.sqrt(m.delta) * u_z

@@ -83,17 +83,22 @@ def invert_semiconj(p) -> np.ndarray:
     x-coordinate is returned.
     """
     p = np.asarray(p, dtype=float)
-    y = np.clip(p[..., 1], -1.0, 1.0)
-    z = np.clip(p[..., 2], -1.0, 1.0)
     tau = 2.0 * np.pi
-    t0 = np.stack([np.arccos(y) / tau, np.arccos(z) / tau], axis=-1)
+    th = np.arccos(np.clip(p[..., 1], -1.0, 1.0)) / tau
+    ph = np.arccos(np.clip(p[..., 2], -1.0, 1.0)) / tau
+    # -t mod 1, which is 1 - t except at t = 0
+    th_neg = np.where(th == 0.0, 0.0, 1.0 - th)
+    ph_neg = np.where(ph == 0.0, 0.0, 1.0 - ph)
     # the four choices (+-theta, +-phi) on a leading axis; argmin keeps
     # the first of equally good candidates
-    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    cand = np.mod(signs.reshape((4,) + (1,) * (t0.ndim - 1) + (2,)) * t0, 1.0)
-    err = np.abs(np.cos(tau * (cand[..., 0] + cand[..., 1])) - p[..., 0])
+    cand_th = np.stack([th, th, th_neg, th_neg])
+    cand_ph = np.stack([ph, ph_neg, ph, ph_neg])
+    err = np.abs(np.cos(tau * (cand_th + cand_ph)) - p[..., 0])
     pick = np.argmin(err, axis=0)
-    return np.take_along_axis(cand, pick[None, ..., None], axis=0)[0]
+    return np.stack(
+        [np.where(pick >= 2, th_neg, th), np.where(pick % 2 == 1, ph_neg, ph)],
+        axis=-1,
+    )
 
 
 def check_semiconjugacy(grid_resolution: int = 512) -> float:

@@ -121,6 +121,32 @@ def test_batch_reports_inconclusive_only_for_the_slow_row():
     assert rep.exit_time[0] < rep.exit_time[2] < 30
 
 
+def test_norms_past_the_float_range_of_squares_are_scored_as_unscaled():
+    # a power-of-two scale passes exactly through every push, so each
+    # pushed vector is the unscaled one times 2^400; from |w| ~ 1e154 on
+    # their squares overflow and the scaled norms take over
+    m = certify.make_model_map(delta=1e-3, seed=7)
+    P, V = _cone_batch(np.random.default_rng(22), 200)
+    plain = certify.expansion_certificates(m, P, V)
+    big = certify.expansion_certificates(m, P, V * 2.0**400)
+    assert vars(big).keys() == vars(plain).keys()
+    for name, col in vars(plain).items():
+        assert np.array_equal(vars(big)[name], col), name
+    assert plain.all_ok.all()
+
+
+def test_a_pushed_vector_whose_components_overflow_raises():
+    # the plain start norm is finite (the cone check needs it); z keeps
+    # growing by lambda a step until the vector's z-component overflows
+    # at step 379, before the point exits at step ~400
+    m = certify.ModelMap(delta=0.0)
+    P = np.array([[0.0, 0.0, certify.LAMBDA_BIG**-400]])
+    V = np.array([[0.0, 0.0, 1e150]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="norm overflowed at step 379$"):
+            certify.expansion_certificates(m, P, V)
+
+
 def test_batch_with_one_invalid_row_raises():
     m = certify.make_model_map(delta=1e-3, seed=6)
     P, V = _cone_batch(np.random.default_rng(21), 4)

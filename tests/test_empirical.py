@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fibtrace import empirical
+from fibtrace import certify, empirical, torus
 from fibtrace.tracemap import (
     on_surface,
     singular_points,
@@ -281,6 +281,120 @@ def test_certificate_statistics_are_pinned(kw, counts, min_ratio):
     got = (rep.samples_total, rep.inconclusive, rep.cone_checks, rep.cone_hits)
     assert got == counts
     assert rep.min_expansion_ratio == pytest.approx(min_ratio, rel=1e-12)
+
+
+def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
+    """The earlier per-step engine: every sample stepped by trace_step,
+    with the frames, seeds and cone test computed at each step on the
+    rows seeded or checked there.  Returns the report and the number of
+    re-seedings (seeds of rows carried before)."""
+    inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
+    target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
+    n = len(pts)
+    v = np.zeros((n, 3))
+    v_total = np.zeros((n, 3))
+    has_v = np.zeros(n, dtype=bool)
+    has_total = np.zeros(n, dtype=bool)
+    checked = np.zeros(n, dtype=bool)
+    cone_checks = cone_hits = reseeds = 0
+    q = pts.copy()
+    far = empirical._eigenframe_distance(q, inv_frame) >= singular_radius
+    for _ in range(n_forward):
+        seed = np.flatnonzero(far & ~has_v)
+        if len(seed):
+            q_seed = q[seed]
+            w0 = empirical._project_tangent(empirical._unstable_frame(q_seed)[0],
+                                            q_seed)
+            n0 = np.linalg.norm(w0, axis=-1)
+            good = n0 > 1e-10
+            seed = seed[good]
+            v[seed] = w0[good] / n0[good, None]
+            has_v[seed] = True
+            reseeds += int(np.count_nonzero(has_total[seed]))
+            first = seed[~has_total[seed]]
+            v_total[first] = v[first]
+            has_total[first] = True
+        has_v &= far
+        v[~has_v] = 0.0
+        jac = empirical.trace_jacobian(q)
+        v = np.einsum("nij,nj->ni", jac, v)
+        v_total = np.einsum("nij,nj->ni", jac, v_total)
+        q = trace_step(q)
+        far = empirical._eigenframe_distance(q, inv_frame) >= singular_radius
+        check = np.flatnonzero(has_v & far)
+        if len(check):
+            q_check = q[check]
+            w = empirical._project_tangent(v[check], q_check)
+            coef_u, coef_s = empirical._frame_coefficients(
+                *empirical._unstable_frame(q_check), w)
+            cone_checks += len(check)
+            hit = np.abs(coef_u) > np.abs(coef_s) / zeta
+            cone_hits += int(np.count_nonzero(hit))
+            checked[check] = True
+    g = np.linalg.norm(v_total, axis=-1)
+    used = has_total & checked & np.isfinite(g) & (g != 0.0)
+    ratios = g[used] / target
+    rep = empirical.EmpiricalReport(
+        samples_total=n,
+        samples_used=len(ratios),
+        inconclusive=n - len(ratios),
+        min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
+        cone_checks=cone_checks,
+        cone_hits=cone_hits,
+        singular_radius=singular_radius,
+        per_sample_ratios=ratios,
+    )
+    return rep, reseeds
+
+
+def test_batched_certificate_matches_the_per_step_engine():
+    seen = {"reseeds": 0, "inconclusive": 0, "misses": 0}
+    for i, (coupling, n_forward, radius) in enumerate(itertools.product(
+        (0.02, 0.3, 0.5), (3, 20, 60), (0.0, 0.05, 0.6)
+    )):
+        pts = empirical.sample_bounded_points(coupling, 100, n_forward, rng=i)
+        want, reseeds = _reference_certify_points(pts, n_forward, 0.1, 0.1, radius)
+        got = empirical._certify_points(pts, n_forward, 0.1, 0.1, radius)
+        case = (coupling, n_forward, radius)
+        assert got.samples_total == want.samples_total == len(pts), case
+        assert (got.samples_used, got.inconclusive, got.cone_checks,
+                got.cone_hits) == (want.samples_used, want.inconclusive,
+                                   want.cone_checks, want.cone_hits), case
+        assert np.array_equal(got.per_sample_ratios, want.per_sample_ratios), case
+        assert np.array_equal(got.min_expansion_ratio, want.min_expansion_ratio,
+                              equal_nan=True), case
+        seen["reseeds"] += reseeds
+        seen["inconclusive"] += want.inconclusive
+        seen["misses"] += want.cone_checks - want.cone_hits
+    # the grid reaches every branch of the loop
+    assert all(seen.values()), seen
+
+
+def test_certificate_refuses_points_that_are_not_finite():
+    pts = np.array([[0.1, 0.2, 0.3], [0.2, np.nan, 0.1]])
+    with pytest.raises(ValueError, match="non-finite"):
+        empirical._certify_points(pts, 3, 0.1, 0.1, 0.05)
+    # with no step taken nothing is stepped, and nothing is refused
+    rep = empirical._certify_points(pts, 0, 0.1, 0.1, 0.05)
+    assert rep.samples_used == rep.cone_checks == 0
+
+
+def _eigenframe_distance_stacked(p, inv_frame):
+    """The earlier formulation: a stacked matmul, np.linalg.norm, np.min."""
+    deltas = p[..., None, :] - singular_points()
+    return np.min(np.linalg.norm(deltas @ inv_frame.T, axis=-1), axis=-1)
+
+
+def test_eigenframe_distance_matches_the_stacked_formulation():
+    rng = np.random.default_rng(23)
+    inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
+    edge = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    for p in (rng.uniform(-3.0, 3.0, (20000, 3)), edge, singular_points(),
+              np.array([[0.3, -0.2, 0.9]]), np.empty((0, 3))):
+        got = empirical._eigenframe_distance(p, inv_frame)
+        want = _eigenframe_distance_stacked(p, inv_frame)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_frame_coefficients_match_lstsq():

@@ -84,6 +84,41 @@ def test_invert_semiconj_matches_the_candidate_loop():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _invert_semiconj_broadcast(p):
+    """The earlier formulation: the four sign choices by np.mod on a
+    broadcast leading axis, picked by take_along_axis."""
+    p = np.asarray(p, dtype=float)
+    y = np.clip(p[..., 1], -1.0, 1.0)
+    z = np.clip(p[..., 2], -1.0, 1.0)
+    tau = 2.0 * np.pi
+    t0 = np.stack([np.arccos(y) / tau, np.arccos(z) / tau], axis=-1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    cand = np.mod(signs.reshape((4,) + (1,) * (t0.ndim - 1) + (2,)) * t0, 1.0)
+    err = np.abs(np.cos(tau * (cand[..., 0] + cand[..., 1])) - p[..., 0])
+    pick = np.argmin(err, axis=0)
+    return np.take_along_axis(cand, pick[None, ..., None], axis=0)[0]
+
+
+def test_invert_semiconj_matches_the_broadcast_formulation():
+    rng = np.random.default_rng(10)
+    p = rng.uniform(-1.3, 1.3, size=(30000, 3))
+    # y or z at +-1 (theta or phi 0 or 1/2), past it (clamped), and both:
+    # there candidates tie exactly, and the first must be kept
+    p[::5, 1] = rng.choice([-1.0, 1.0, -1.5, 1.5], len(p[::5]))
+    p[::7, 2] = rng.choice([-1.0, 1.0, -1.5, 1.5], len(p[::7]))
+    edge = np.array([[x, y, z] for x in (-1.0, 0.0, 1.0)
+                     for y in (-1.0, 1.0) for z in (-1.0, 0.0, 1.0)])
+    ties = torus.semiconj(np.array([[0.0, 0.3], [0.3, 0.0], [0.5, 0.2],
+                                    [0.2, 0.5], [0.0, 0.5], [0.5, 0.5]]))
+    for pts in (p, edge, ties, p[:24].reshape(2, 3, 4, 3), p[0]):
+        got, want = torus.invert_semiconj(pts), _invert_semiconj_broadcast(pts)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the tie rows do tie: a candidate after the first is as good
+    th, ph = np.arccos(ties[:, 1]) / (2 * np.pi), np.arccos(ties[:, 2]) / (2 * np.pi)
+    assert np.all((th == 0.0) | (th == 0.5) | (ph == 0.0) | (ph == 0.5))
+
+
 def test_df_semiconj_matches_finite_differences():
     rng = np.random.default_rng(6)
     h = 1e-7
