@@ -84,68 +84,44 @@ def cone_member_3d(v, z_p) -> bool | np.ndarray:
     return bool(r) if np.ndim(r) == 0 else r
 
 
-#: the wave arguments (x + y, x - y, x), twice: the map's three waves
-#: sin a0, cos a1, sin a2 and their slopes cos a0, sin a1, cos a2 are
-#: the sines of these six arguments shifted by _WAVE_SHIFTS
-_WAVE_ARGS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
-_WAVE_ARGS = np.vstack([_WAVE_ARGS, _WAVE_ARGS])
+#: the map's three waves sin a0, cos a1, sin a2 and their slopes
+#: cos a0, sin a1, cos a2, a = (x + y, x - y, x) + phases, are the sines
+#: of the arguments (a, a) shifted by these
 _WAVE_SHIFTS = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) * (np.pi / 2.0)
-#: row i: gradient of wave i's argument, signed so that wave i's
-#: derivative is (its slope) * (this row)
-_WAVE_GRAD = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-#: d(z * wave)/dz: the waves themselves, in the z-column of Df
-_Z_COLUMN = np.array([0.0, 0.0, 1.0])
 #: the diagonal of the linear part diag(1/lambda, 1, lambda)
 _SCALE = np.array([1.0 / LAMBDA_BIG, 1.0, LAMBDA_BIG])
 
 
-def _spectral_norms(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (..., 3, 3) array.
+def _column(a: np.ndarray, ndim: int) -> np.ndarray:
+    """A 1-d array shaped to broadcast along the first axis of ndim axes."""
+    return a.reshape(a.shape + (1,) * (ndim - 1))
 
-    The square root of the largest eigenvalue of the Gram matrix
-    G = M^T M, in closed form (Smith, CACM 4, 1961): with q = tr G / 3,
-    p = ||G - q I||_F / sqrt 6 and r = det(G - q I) / (2 p^3) in [-1, 1],
-    it is q + 2 p cos(arccos(r) / 3).  Each M is first divided by its
-    largest |entry|, so G neither overflows nor underflows; p = 0 means
-    G = q I, whose eigenvalue is q.  The result is within a few ulp of
-    the SVD's (1e-14 relative on the audit's matrices) except where the
-    two largest singular values nearly coincide: there r is near -1,
-    where arccos magnifies its rounding, and the error reaches about
-    sqrt(eps) relative (4e-9 at an exact double).
+
+def _sum_squares(w: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 (+ z^2) of each column of a (k, ...) array, in that order."""
+    s = w[0] * w[0]
+    for c in w[1:]:
+        s += c * c
+    return s
+
+
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a (k, n) array, coordinate first.
+
+    The squares are summed in coordinate order, as ``np.linalg.norm``
+    sums a row.  Where the plain norm is not finite, as when the squares
+    of finite components overflow, the column is divided by its largest
+    |component| first and its norm scaled back, so that only columns
+    whose norm itself passes the float range, or that hold inf or NaN,
+    come out inf or NaN.  Call it under ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
-    top = np.max(np.abs(m), axis=(-2, -1))
-    top = np.where(top > 0.0, top, 1.0)
-    m = m / top[..., None, None]
-    g = np.einsum("...ki,...kj->...ij", m, m)
-    q = np.trace(g, axis1=-2, axis2=-1) / 3.0
-    b = g - q[..., None, None] * np.eye(3)
-    p = np.sqrt(np.sum(b * b, axis=(-2, -1)) / 6.0)
-    det = (
-        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-        - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-        + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
-    )
-    r = np.clip(det / np.where(p > 0.0, 2.0 * p**3, 1.0), -1.0, 1.0)
-    largest = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
-    return top * np.sqrt(np.maximum(largest, 0.0))
-
-
-def _row_norms(w: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (n, k) array.
-
-    Where the plain norm is not finite, as when the squares of finite
-    components overflow, the row is divided by its largest |component|
-    first and its norm scaled back, so that only rows whose norm itself
-    passes the float range, or that hold inf or NaN, come out inf or NaN.
-    """
-    with np.errstate(over="ignore"):
-        r = np.linalg.norm(w, axis=-1)
+    r = np.sqrt(_sum_squares(w))
     big = ~np.isfinite(r)
     if big.any():
-        wb = w[big]
-        top = np.max(np.abs(wb), axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r[big] = top * np.linalg.norm(wb / top[:, None], axis=-1)
+        wb = w[:, big]
+        top = np.max(np.abs(wb), axis=0)
+        r[big] = top * np.sqrt(_sum_squares(wb / top))
     return r
 
 
@@ -153,11 +129,14 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
 class ModelMap:
     """A perturbation of diag(1/lambda, 1, lambda) fixing the plane {z=0}.
 
-    The off-linear terms all carry a factor of z, so the plane is
-    exactly invariant; phases make distinct seeds give distinct maps.
-    ``delta`` is the audited bound on ||Df - A|| over the working box.
-    Every method takes (..., 3) arrays of points.  The wave shifts are
-    computed once, when the map is made.
+    The map is A p + (delta/8) z (sin a0, cos a1, sin a2) with
+    a = (x + y, x - y, x) + phases.  The off-linear terms all carry a
+    factor of z, so the plane is exactly invariant; phases make distinct
+    seeds give distinct maps.  ``delta`` bounds ||Df - A|| over the
+    working box (see ``make_model_map``).  Every method takes points
+    coordinate first, as a (3, ...) array, and returns its values in the
+    same layout.  The wave shifts are computed once, when the map is
+    made.
     """
 
     delta: float
@@ -172,80 +151,61 @@ class ModelMap:
         return np.diag(_SCALE)
 
     def _waves(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2).
-
-        a = (x + y, x - y, x) + phases.  The map adds (delta/8) z waves
-        to its linear part.
-        """
-        sines = np.sin(p @ _WAVE_ARGS.T + self._shifts)
-        return sines[..., :3], sines[..., 3:]
+        """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2)."""
+        x, y = p[0], p[1]
+        plus, minus = x + y, x - y
+        args = np.array([plus, minus, x, plus, minus, x])
+        sines = np.sin(args + _column(self._shifts, p.ndim))
+        return sines[:3], sines[3:]
 
     def _image(self, p: np.ndarray, waves: np.ndarray) -> np.ndarray:
-        return p * _SCALE + (self.delta / 8.0) * p[..., 2:3] * waves
+        return p * _column(_SCALE, p.ndim) + (self.delta / 8.0) * p[2] * waves
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return self._image(p, self._waves(p)[0])
 
-    def _wave_differential(self, p: np.ndarray) -> np.ndarray:
-        """Df(p) - A: the differential of the (delta/8) z waves."""
-        waves, slopes = self._waves(p)
-        part = p[..., 2, None, None] * slopes[..., :, None] * _WAVE_GRAD
-        part += waves[..., :, None] * _Z_COLUMN
-        part *= self.delta / 8.0
-        return part
-
     def jacobian(self, p) -> np.ndarray:
-        """Differential at p, shape (..., 3, 3)."""
+        """Differential at p, shape (3, 3, ...): column j is Df(p) e_j."""
         p = np.asarray(p, dtype=float)
-        return self.linear + self._wave_differential(p)
+        basis = (np.broadcast_to(_column(e, p.ndim), p.shape) for e in np.eye(3))
+        return np.stack([self.push(p, e)[1] for e in basis], axis=1)
 
     def push(self, p, v) -> tuple[np.ndarray, np.ndarray]:
-        """f(p) and Df(p) v together, for (..., 3) points and vectors."""
+        """f(p) and Df(p) v together, for (3, ...) points and vectors.
+
+        Df v = A v + (delta/8) (z slopes * (G v) + waves v_z), where the
+        rows of G, the gradients of the wave arguments signed so that
+        wave i's derivative is slope i times row i, are (1, 1, 0),
+        (-1, 1, 0) and (1, 0, 0).
+        """
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         waves, slopes = self._waves(p)
         s = self.delta / 8.0
-        pushed = v * _SCALE
-        pushed += (s * p[..., 2:3]) * slopes * (v @ _WAVE_GRAD.T)
-        pushed += s * waves * v[..., 2:3]
+        pushed = v * _column(_SCALE, v.ndim)
+        pushed += (s * p[2]) * slopes * np.array([v[0] + v[1], v[1] - v[0], v[0]])
+        pushed += s * waves * v[2]
         return self._image(p, waves), pushed
-
-    def audit(self, samples: int = 10000, rng=None) -> dict:
-        """Sampled check of the structural hypotheses on the box |p_i| <= 2."""
-        rng = np.random.default_rng(rng)
-        pts = rng.uniform(-2.0, 2.0, size=(samples, 3))
-        dev = _spectral_norms(self._wave_differential(pts))
-        worst_df = float(dev.max(initial=0.0))
-        xy = rng.uniform(-2.0, 2.0, size=(64, 2))
-        plane = np.column_stack([xy, np.zeros(len(xy))])
-        plane_drift = float(np.max(np.abs(self(plane)[:, 2])))
-        return {
-            "df_deviation": worst_df,
-            "df_ok": worst_df < self.delta or self.delta == 0.0,
-            "plane_invariant": plane_drift == 0.0,
-        }
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
-    """Construct and audit a model map with lambda = LAMBDA_BIG and C1 = 1.
+    """Construct a model map with lambda = LAMBDA_BIG and C1 = 1.
 
+    On the box |p_i| <= 2, Df - A = (delta/8) (z diag(slopes) G +
+    waves e_z^T), with G as in ``ModelMap.push``.  G^T G = diag(3, 2, 0),
+    so ||G|| = sqrt 3; every slope and wave is at most 1 in size, so
+    ||waves|| <= sqrt 3; and |z| <= 2.  Hence ||Df - A|| <=
+    (delta/8) (2 sqrt 3 + sqrt 3) = (3 sqrt 3 / 8) delta, about
+    0.650 delta < delta, for every phase, and nothing needs sampling.
     All second partials of the perturbation are bounded by
-    (delta/8) (|z| + 2) <= delta/2 on the audit's box, so C1 = 1 holds
-    exactly when delta <= 2; a delta outside [0, 2] is refused.
+    (delta/8) (|z| + 2) <= delta/2 on the box, so C1 = 1 holds exactly
+    when delta <= 2; a delta outside [0, 2] is refused.
     """
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must be in [0, 2], got {delta}")
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    m = ModelMap(delta=delta, phases=phases)
-    report = m.audit(rng=rng)
-    if delta > 0.0 and not report["df_ok"]:
-        raise ValueError(
-            f"construction failed its own audit: ||Df - A|| reached "
-            f"{report['df_deviation']:.3e} >= delta={delta:g}"
-        )
-    return m
+    return ModelMap(delta=delta, phases=rng.uniform(0.0, 2.0 * np.pi, size=3))
 
 
 @dataclass
@@ -301,11 +261,12 @@ def expansion_certificates(
     final tilt |u_xy| < 2 sqrt(delta) |u_z|, and, when the start already
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
-    stepped; a row still inside after ``max_iter`` steps is reported
-    inconclusive.  Norms whose squares overflow are taken scaled by the
-    row's largest |component| (``_row_norms``); a pushed vector whose
-    growth is still not finite, as when its components overflow, raises
-    ValueError.  Returns one report whose fields hold every row.
+    stepped, held coordinate first as (3, n) columns; a row still inside
+    after ``max_iter`` steps is reported inconclusive.  Norms whose
+    squares overflow are taken scaled by the row's largest |component|
+    (``_norms``); a pushed vector whose growth is still not finite, as
+    when its components overflow, raises ValueError.  Returns one report
+    whose fields hold every row.
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -316,47 +277,50 @@ def expansion_certificates(
     if not np.all(cone_member_3d(V, P[:, 2])):
         raise ValueError("start vector is outside the cone")
     n = len(P)
-    v_xy0 = _row_norms(V[:, :2])
     rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
-    eta_start = np.abs(V[:, 2]) >= eta * v_xy0
     exit_time = np.full(n, max_iter)
-    w_exit = np.zeros((n, 3))
+    w_exit = np.zeros((3, n))
     grew = np.zeros(n, dtype=bool)  # growth at exit met the bound
     dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
     # the rows still stepping, and their points, vectors, starting
     # norms and dips, compacted as rows exit
     active = np.arange(n)
-    q, w = P, V
-    v0_norm = _row_norms(V)
+    q, w = P.T, V.T
     dip = np.zeros(n, dtype=bool)
-    for k in range(1, max_iter + 1):
-        if not len(active):
-            break
-        q, w = m.push(q, w)
-        with np.errstate(over="ignore"):
-            g = _row_norms(w) / v0_norm
-        if not np.isfinite(g).all():
-            raise ValueError(f"pushed vector norm overflowed at step {k}")
-        bound = rate**k
-        dip |= g < 0.5 * eta * bound
-        out = q[:, 2] > 1.0
-        if out.any():
-            done = active[out]
-            exit_time[done] = k
-            w_exit[done] = w[out]
-            grew[done] = g[out] >= bound
-            dipped[done] = dip[out]
-            keep = ~out
-            active, q, w = active[keep], q[keep], w[keep]
-            v0_norm, dip = v0_norm[keep], dip[keep]
+    # overflow shows as a growth that is not finite, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_xy0 = _norms(w[:2])
+        v0_norm = _norms(w)
+        for k in range(1, max_iter + 1):
+            if not len(active):
+                break
+            q, w = m.push(q, w)
+            g = np.sqrt(_sum_squares(w)) / v0_norm
+            if not np.isfinite(g).all():
+                g = _norms(w) / v0_norm
+                if not np.isfinite(g).all():
+                    raise ValueError(f"pushed vector norm overflowed at step {k}")
+            bound = rate**k
+            dip |= g < 0.5 * eta * bound
+            out = q[2] > 1.0
+            if out.any():
+                done = active[out]
+                exit_time[done] = k
+                w_exit[:, done] = w[:, out]
+                grew[done] = g[out] >= bound
+                dipped[done] = dip[out]
+                keep = ~out
+                active, q, w = active[keep], q[:, keep], w[:, keep]
+                v0_norm, dip = v0_norm[keep], dip[keep]
+        u_xy = _norms(w_exit[:2])
     exited = np.ones(n, dtype=bool)
     exited[active] = False
-    u_xy = _row_norms(w_exit[:, :2])
-    u_z = np.abs(w_exit[:, 2])
+    u_z = np.abs(w_exit[2])
     if m.delta > 0.0:
         thin = u_xy < 2.0 * np.sqrt(m.delta) * u_z
     else:  # delta = 0: the xy-part cannot have grown at all
         thin = u_xy <= v_xy0 * (1.0 + 1e-12)
+    eta_start = np.abs(V[:, 2]) >= eta * v_xy0
     return ExpansionReport(
         exit_time=exit_time,
         exited=exited,

@@ -429,16 +429,20 @@ def test_model_delta_is_bounded_by_c1(tmp_path):
 def test_model_n0_is_bounded_and_scores_up_to_the_bound(tmp_path, capsys):
     # in-process, so that an overflow warning fails the test: past n0 =
     # 696 the start heights are subnormal; at 696 the squares of the
-    # pushed norms overflow, and the scaled norms score every vector
-    argv = ["certify", "--seed", "1", "--set", "kind=model"]
+    # pushed norms overflow, and the scaled norms score every vector.
+    # The counts are pinned at three seeds and three n0.
+    argv = ["certify", "--set", "kind=model"]
     code, err, out = run_main(tmp_path, capsys, *argv, "--set", "n0=697")
     assert code == 2 and "config error: n0: must be <= 696" in err
     assert list(tmp_path.iterdir()) == []
-    for n0 in (696, 200):
-        code, err, out = run_main(tmp_path, capsys, *argv, "--set", f"n0={n0}")
-        assert code == 0, err
-        report = json.loads(out.read_text())["report"]
-        assert report["passed"] == report["vectors"] == 1000
+    for seed in ("1", "2", "3"):
+        for n0 in (696, 600, 200):
+            code, err, out = run_main(
+                tmp_path, capsys, *argv, "--seed", seed, "--set", f"n0={n0}")
+            assert code == 0, err
+            report = json.loads(out.read_text())["report"]
+            assert report["passed"] == report["vectors"] == 1000
+            assert report["inconclusive"] == 0
 
 
 def _bound_text(name, field):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,3 +264,97 @@ def test_argument_validation():
         spectrum.half_trace_oracle(17, 0.0, 1.0)
     with pytest.raises(ValueError):
         spectrum.transfer_matrix(0, 0.0, 1.0)
+
+
+def _exact_half_trace(j, E, V, slope=False):
+    """x_j(E), j >= 1, as an exact Fraction, by the recursion from
+    (1, E/2, (E - V)/2) as ``trace_sequence`` starts it; with ``slope``,
+    the pair (x_j, dx_j/dE).  Float E and V are exact binary rationals,
+    so nothing is rounded."""
+    E, V = Fraction(E), Fraction(V)
+    x = (Fraction(1), E / 2, (E - V) / 2)
+    dx = (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    for _ in range(j - 1):
+        if slope:
+            dx = (dx[1], dx[2], 2 * (dx[2] * x[1] + x[2] * dx[1]) - dx[0])
+        x = (x[1], x[2], 2 * x[2] * x[1] - x[0])
+    return (x[2], dx[2]) if slope else x[2]
+
+
+def _exact_edge_distance(j, V, e, u):
+    """The least d in 0, 1, 2, 4, ... for which sigma_j provably has a
+    true edge within d u of the float e.
+
+    There is one in [e - d u, e + d u] when x_j^2 - 1 changes sign
+    between the two ends, or when both ends lie inside sigma_j and the
+    slope of x_j changes sign between them: x_j is strictly monotone on
+    each band, so a critical point between two band points is a gap,
+    open or closed (as at V = 0), whose ends lie between them.  A band
+    narrower than d u can hide between the sampled points, so d is an
+    upper bound on the distance and, at most, twice it.
+    """
+    e, u = Fraction(e), Fraction(u)
+
+    def excess(E):
+        x = _exact_half_trace(j, E, V)
+        return x * x - 1
+
+    if excess(e) == 0:
+        return 0
+    d = 1
+    while d <= 2**64:
+        lo, hi = e - d * u, e + d * u
+        at_lo, at_hi = excess(lo), excess(hi)
+        if at_lo * at_hi <= 0:
+            return d
+        if at_lo < 0 and at_hi < 0:
+            turn = _exact_half_trace(j, lo, V, True)[1] * _exact_half_trace(j, hi, V, True)[1]
+            if turn <= 0:
+                return d
+        d *= 2
+    raise AssertionError(f"no edge of sigma_{j} within 2^64 u of {float(e)!r}")
+
+
+def test_exact_oracle_brackets_the_free_edges():
+    # at V = 0, x_j(2 cos t) = cos(F_j t): the bands touch at the edges
+    # 2 cos(pi m / F_j), which the float cosine puts within a few u
+    u = math.ulp(2.0)
+    for j in (5, 8, 10):
+        n = spectrum.fibonacci(j)
+        for m in range(n + 1):
+            e = 2.0 * math.cos(math.pi * m / n)
+            assert _exact_edge_distance(j, 0.0, e, u) <= 4, (j, m)
+    # and a point between two edges is as far from both as it is
+    mid, gap = 2.0 * math.cos(math.pi / 16), 2.0 - 2.0 * math.cos(math.pi / 16)
+    assert gap <= _exact_edge_distance(5, 0.0, mid, u) * u < 2.0 * gap
+
+
+def test_exact_oracle_matches_the_matrix_oracle():
+    # criterion 02's tolerance, at random energies
+    E = np.random.default_rng(31).uniform(-3.0, 3.0, 40)
+    for V in (0.0, 0.1, 1.0):
+        for j in (1, 4, 9, 13):
+            oracle = spectrum.half_trace_oracle(j, E, V)
+            exact = np.array([float(_exact_half_trace(j, e, V)) for e in E])
+            valid = np.abs(oracle) <= 1e6
+            rel = np.abs(exact - oracle)[valid] / np.maximum(1.0, np.abs(oracle[valid]))
+            assert valid.sum() > 10 and rel.max() <= 1e-8, (V, j)
+
+
+@pytest.mark.parametrize("V, j", [(1.0, 12), (16.0, 13), (128.0, 9)])
+def test_level_edges_lie_near_true_edges(V, j):
+    # 40 evenly spaced float edges per level, each within 64 u of a true
+    # edge of sigma_j, u the ulp of the level's largest |edge|
+    edges = spectrum._level_bands(j, V).as_array().ravel()
+    u = math.ulp(np.max(np.abs(edges)))
+    picked = edges[np.linspace(0, len(edges) - 1, 40).round().astype(int)]
+    assert max(_exact_edge_distance(j, V, e, u) for e in picked) <= 64
+
+
+def test_the_level_4_and_5_bands_touch_at_minus_one():
+    # at V = 1, x_4(-1) = x_5(-1) = 1 exactly: a sigma_5 band ends and a
+    # sigma_4 band starts at -1, so their true union has no gap there
+    # (the computed sigma_5 edge is the float 1 ulp below -1)
+    assert _exact_half_trace(4, -1.0, 1.0) == _exact_half_trace(5, -1.0, 1.0) == 1
+    below = np.nextafter(-1.0, -2.0)
+    assert abs(_exact_half_trace(5, below, 1.0)) < 1 < abs(_exact_half_trace(4, below, 1.0))
