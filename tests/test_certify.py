@@ -26,9 +26,10 @@ def test_cone_membership():
         certify.cone_member_3d(np.zeros(3), 0.5)
 
 
-def test_model_map_meets_its_proved_bound_and_keeps_the_plane():
-    # make_model_map's bound: ||Df - A|| <= (3 sqrt 3 / 8) delta on the
-    # box |p_i| <= 2, whatever the phases
+def test_model_map_audit_and_plane_invariance():
+    # make_model_map's proved bound, in place of the sampled audit it made:
+    # ||Df - A|| <= (3 sqrt 3 / 8) delta on the box |p_i| <= 2, whatever
+    # the phases
     for delta in (1e-3, 1e-2, 0.5, 2.0):
         for seed in range(4):
             m = certify.make_model_map(delta=delta, seed=seed)
@@ -169,18 +170,61 @@ def test_batch_with_one_invalid_row_raises():
         certify.expansion_certificates(m, P, bad_v)
 
 
-def _push_formula(m, p, v):
-    """f(p) and Df(p) v as ModelMap.push computed them term by term."""
+def test_model_map_audit_value_is_pinned():
+    # the figure of the earlier sampled audit: the largest ||Df - A|| over
+    # the 2000 points it drew with rng 1, so the map's phases are unchanged
+    m = certify.make_model_map(delta=1e-3, seed=0)
+    pts = np.random.default_rng(1).uniform(-2.0, 2.0, (2000, 3))
+    dev = np.moveaxis(m.jacobian(pts.T), -1, 0) - m.linear
+    worst = np.linalg.norm(dev, ord=2, axis=(-2, -1)).max()
+    assert worst == pytest.approx(0.0004083036591343811, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_audit_norms_match_the_svd_norm(delta, seed):
+    # Df - A = (delta/8) (z diag(slopes) G + waves e_z^T): on z = 0 only
+    # the z-column is left, whose length is the 2-norm; elsewhere the two
+    # terms bound it by the triangle inequality
+    m = certify.make_model_map(delta=delta, seed=seed)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (10000, 3))
+    pts[:500, 2] = 0.0  # rank <= 1: only the z-column is left
+    dev = np.moveaxis(m.jacobian(pts.T), -1, 0) - m.linear
+    ref = np.linalg.norm(dev, ord=2, axis=(-2, -1))
+    assert np.all(dev[:500, :, :2] == 0.0)
+    column = np.linalg.norm(dev[:500, :, 2], axis=-1)
+    assert np.all(np.abs(column - ref[:500]) <= 1e-12 * ref[:500])
+    waves, slopes = _formula_waves(m, pts)
+    tilt = np.linalg.norm(slopes[:, :, None] * _GRAD, ord=2, axis=(-2, -1))
+    bound = delta / 8.0 * (np.abs(pts[:, 2]) * tilt + np.linalg.norm(waves, axis=-1))
+    # A's z-entry is subtracted back out: allow its rounding
+    assert np.all(ref <= bound + 4 * np.finfo(float).eps * certify.LAMBDA_BIG)
+    if delta == 0.0:
+        assert np.all(ref == 0.0)
+    else:
+        assert np.all(ref[:500] > 0.0)
+
+
+_GRAD = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _formula_waves(m, p):
+    """Waves and slopes of (n, 3) rows, as ModelMap computed them."""
     shifts = np.concatenate([m.phases, m.phases]) + np.array([0, 1, 0, 1, 0, 1]) * (
         np.pi / 2.0)
     args = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]] * 2)
-    grad = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     sines = np.sin(p @ args.T + shifts)
-    waves, slopes = sines[..., :3], sines[..., 3:]
+    return sines[..., :3], sines[..., 3:]
+
+
+def _push_formula(m, p, v):
+    """f(p) and Df(p) v as ModelMap.push computed them term by term."""
+    waves, slopes = _formula_waves(m, p)
     s = m.delta / 8.0
     scale = np.array([1.0 / certify.LAMBDA_BIG, 1.0, certify.LAMBDA_BIG])
     pushed = v * scale
-    pushed += (s * p[..., 2:3]) * slopes * (v @ grad.T)
+    pushed += (s * p[..., 2:3]) * slopes * (v @ _GRAD.T)
     pushed += s * waves * v[..., 2:3]
     return p * scale + (m.delta / 8.0) * p[..., 2:3] * waves, pushed
 
