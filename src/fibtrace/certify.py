@@ -74,11 +74,14 @@ def cone_member_3d(v, z_p) -> bool | np.ndarray:
     """Membership in the cone |v_z| >= C2 sqrt(|z_p|) |v_xy|, C2 = 1.
 
     The boundary counts as inside: the defining inequality is non-strict.
-    Accepts (..., 3) vectors with matching (...) heights z_p.
+    Accepts (..., 3) vectors with matching (...) heights z_p, each scaled
+    exactly by the power of two that brings its largest |component| near 1.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(np.linalg.norm(v, axis=-1) == 0.0):
+    top = np.max(np.abs(v), axis=-1)
+    if np.any(top == 0.0):
         raise ValueError("zero vector has no cone membership")
+    v = np.ldexp(v, -np.frexp(top)[1][..., None])
     v_xy = np.linalg.norm(v[..., :2], axis=-1)
     r = np.abs(v[..., 2]) >= np.sqrt(np.abs(z_p)) * v_xy
     return bool(r) if np.ndim(r) == 0 else r

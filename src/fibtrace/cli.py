@@ -42,14 +42,14 @@ class Field(NamedTuple):
     """A float, int, bool or list (of floats) field; required if default is None.
 
     ``lo`` and ``hi`` bound a number, or each element of a list,
-    inclusively, or exclusively where ``open``.
+    inclusively, or exclusively where ``open`` names them ("lo", "hi").
     """
 
     type: type
     default: object = None
     lo: float | None = None
     hi: float | None = None
-    open: bool = False
+    open: str = ""
 
 
 #: a cover at level k also builds level k + 1
@@ -66,10 +66,10 @@ FIELDS: dict[str, dict[str, Field]] = {
     "spectrum": {
         "coupling": Field(float, lo=0.0),
         "k": Field(int, 10, 1, MAX_K),
-        "resolution": Field(float, 1e-4, 0.0, open=True),
+        "resolution": Field(float, 1e-4, 0.0, open="lo"),
     },
     "dimension mode=cantor": {
-        "ratio": Field(float, None, 0.0, 0.5, open=True),
+        "ratio": Field(float, None, 0.0, 0.5, open="lo hi"),
         # cantor_bands builds 2^depth intervals: 2^20 of them take 16 MB,
         # while a depth in the 30s would ask for gigabytes
         "depth": Field(int, 10, 1, 20),
@@ -85,13 +85,9 @@ FIELDS: dict[str, dict[str, Field]] = {
         "k": Field(int, 10, 2, MAX_K),
     },
     "certify kind=recurrence": {
-        # the bounds RecurrenceParams.validate checks; the cross-field
-        # lam - delta > 1 is checked in cmd_certify
-        "c1": Field(float, 1.0, 0.0),
-        "c2": Field(float, 1.0, 0.0, open=True),
-        "lam": Field(float, float(cert.LAMBDA_BIG), 1.0, open=True),
-        "epsilon": Field(float, 0.1, 0.0, 0.25, open=True),
-        "delta": Field(float, 1e-3, 0.0),
+        # the bounds RecurrenceParams.validate checks
+        "epsilon": Field(float, 0.1, 0.0, 0.25, open="lo hi"),
+        "delta": Field(float, 1e-3, 0.0, float(cert.LAMBDA_BIG - 1.0), open="hi"),
         "n": Field(int, 200, 1),
         "slack_schedules": Field(int, 100, 0),
     },
@@ -106,8 +102,8 @@ FIELDS: dict[str, dict[str, Field]] = {
         "coupling": Field(float, None, 1e-12, 0.5),
         "samples": Field(int, 1000, 1),
         "n": Field(int, 30, 1),
-        "epsilon": Field(float, 0.1, 0.0, 0.25, open=True),
-        "zeta": Field(float, 0.1, 0.0, 1.0, open=True),
+        "epsilon": Field(float, 0.1, 0.0, 0.25, open="lo hi"),
+        "zeta": Field(float, 0.1, 0.0, 1.0, open="lo hi"),
         "singular_radius": Field(float, 0.05, 0.0),
     },
     "mesh": {
@@ -174,11 +170,12 @@ def _number(key: str, field: Field, raw: str | None):
         if val != int(val):
             raise ConfigError(f"{key}: must be an integer, got {val}")
         val = int(val)
-    if field.lo is not None and (val <= field.lo if field.open else val < field.lo):
-        op = ">" if field.open else ">="
+    lo_open, hi_open = "lo" in field.open, "hi" in field.open
+    if field.lo is not None and (val <= field.lo if lo_open else val < field.lo):
+        op = ">" if lo_open else ">="
         raise ConfigError(f"{key}: must be {op} {field.lo}, got {val}")
-    if field.hi is not None and (val >= field.hi if field.open else val > field.hi):
-        op = "<" if field.open else "<="
+    if field.hi is not None and (val >= field.hi if hi_open else val > field.hi):
+        op = "<" if hi_open else "<="
         raise ConfigError(f"{key}: must be {op} {field.hi}, got {val}")
     return val
 
@@ -255,14 +252,10 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
 def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
     rng = np.random.default_rng(seed)
     if p["kind"] == "recurrence":
-        if p["lam"] - p["delta"] <= 1.0:
-            raise ConfigError(f"delta: must be < lam - 1 at lam = {p['lam']}, "
-                              f"got {p['delta']}")
-        names = ("c1", "c2", "lam", "epsilon", "delta")
-        params = recurrences.RecurrenceParams(**{name: p[name] for name in names})
+        params = recurrences.RecurrenceParams(epsilon=p["epsilon"], delta=p["delta"])
         N, n_max = p["n"], recurrences.max_steps(params)
         if N > n_max:
-            at = "at these lam, delta, epsilon and c2"
+            at = "at these delta and epsilon"
             raise ConfigError(f"n: must be <= {n_max} {at}, got {N}")
         run = recurrences.run_dD(params, N)
         schedules = p["slack_schedules"]

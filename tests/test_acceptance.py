@@ -111,7 +111,7 @@ def test_criterion_05_per2_and_singular_orbit():
 def test_criterion_06_recurrence_suite():
     t0 = time.perf_counter()
     delta0, n0 = 1e-3, 200  # recorded passing pair
-    p = RecurrenceParams(lam=MU**2, epsilon=0.1, c1=1.0, c2=1.0, delta=delta0)
+    p = RecurrenceParams(epsilon=0.1, delta=delta0)  # lambda = MU**2, C1 = C2 = 1
     run = recurrences.run_dD(p, n0)
     ok = (run.tail_bound_ok and run.growth_bound_ok
           and run.stepwise_growth_ok and run.stepwise_small_ok

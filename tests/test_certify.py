@@ -26,6 +26,23 @@ def test_cone_membership():
         certify.cone_member_3d(np.zeros(3), 0.5)
 
 
+def test_cone_membership_does_not_depend_on_scale():
+    # where the squares of the plain rule stay normal, scaling changes no
+    # answer, the boundary included; past that range the plain rule's
+    # squares overflow (False, with a warning) or underflow (a zero vector)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-100, 100, (20000, 1))
+    z_p = 10.0 ** rng.uniform(-8, 2, 20000)
+    v[::2, 2] = np.sqrt(z_p[::2]) * np.linalg.norm(v[::2, :2], axis=-1)
+    plain = np.abs(v[:, 2]) >= np.sqrt(z_p) * np.linalg.norm(v[:, :2], axis=-1)
+    assert np.array_equal(certify.cone_member_3d(v, z_p), plain)
+    assert plain[::2].all() and not plain.all()
+    for scale in (1e200, 1e-200, 2.0**1000, 2.0**-1060):
+        assert certify.cone_member_3d([scale, 0.0, scale], 0.25)
+        assert certify.cone_member_3d([scale, 0.0, scale / 2.0], 0.25)
+        assert not certify.cone_member_3d([scale, 0.0, scale / 4.0], 0.25)
+
+
 def test_model_map_audit_and_plane_invariance():
     # make_model_map's proved bound, in place of the sampled audit it made:
     # ||Df - A|| <= (3 sqrt 3 / 8) delta on the box |p_i| <= 2, whatever

@@ -250,37 +250,99 @@ def test_certify_recurrence_n_is_bounded(tmp_path, n, code):
         assert "n: must be <= 736" in r.stderr
 
 
-@pytest.mark.parametrize("n, code", [(1023, 0), (1024, 2), (8000, 2)])
+@pytest.mark.parametrize("n, code", [(415, 0), (416, 2), (8000, 2)])
 def test_certify_recurrence_n_is_bounded_near_lambda_1(tmp_path, n, code):
-    # near lambda = 1 the bound on an overshooting A_k, not the heights,
-    # caps n; past it A_k can overflow with RuntimeWarnings
+    # as delta nears lambda - 1 the heights' ratio lambda - delta nears 1,
+    # and the bound (G + m)^N on a run's values, not the heights, caps n
     r = run_cli(
         "certify", "--out", str(tmp_path / "c.json"), "--seed", "1",
-        "--set", "kind=recurrence", "--set", "lam=1.01", "--set", f"n={n}",
+        "--set", "kind=recurrence", "--set", "delta=1.618", "--set", f"n={n}",
         "--set", "slack_schedules=3",
     )
     assert r.returncode == code
     assert "Warning" not in r.stderr
     if code == 2:
-        assert "n: must be <= 1023" in r.stderr
+        assert "n: must be <= 415" in r.stderr
+
+
+@pytest.mark.parametrize("epsilon, delta, n_max, overflowed", [
+    (0.1, 1.0, 644, 819), (0.24, 0.6, 897, 941), (0.24, 1.6, 470, 970),
+])
+def test_certify_recurrence_n_is_bounded_at_large_delta(
+    tmp_path, capsys, epsilon, delta, n_max, overflowed
+):
+    # in-process, so that an overflow warning fails the test: at large
+    # delta the bound on d_k, not the heights, caps n.  The n that
+    # overflowed once exited 0 with flags computed from inf and NaN
+    argv = ["certify", "--seed", "1", "--set", "kind=recurrence", "--set",
+            f"epsilon={epsilon}", "--set", f"delta={delta}", "--set", "slack_schedules=3"]
+    code, err, _ = run_main(tmp_path, capsys, *argv, "--set", f"n={n_max}")
+    assert code == 0, err
+    for n in (n_max + 1, overflowed):
+        code, err, _ = run_main(tmp_path, capsys, *argv, "--set", f"n={n}")
+        assert code == 2
+        assert f"config error: n: must be <= {n_max}" in err
 
 
 @pytest.mark.parametrize("sets, field", [
     (("delta=3",), "delta"),
-    (("lam=1.2", "delta=0.5"), "delta"),
-    (("lam=1.5", "delta=0.5"), "delta"),
+    (("delta=1.618033988749895",), "delta"),
+    (("delta=1.7",), "delta"),
     (("lam=0.5",), "lam"),
 ])
 def test_certify_recurrence_needs_lam_minus_delta_above_1(tmp_path, sets, field):
-    # these once ran into RuntimeWarnings and exit 3, or named `lambda`
+    # these once ran into RuntimeWarnings and exit 3, or named `lambda`;
+    # lambda is now the model map's constant and cannot be set
     r = run_cli(
         "certify", "--out", str(tmp_path / "c.json"), "--seed", "1",
         "--set", "kind=recurrence", *(a for s in sets for a in ("--set", s)),
     )
     assert r.returncode == 2
-    assert f"config error: {field}: must be" in r.stderr
+    if field == "lam":
+        assert "config error: lam: not a field of certify kind=recurrence" in r.stderr
+    else:
+        assert f"config error: {field}: must be < 1.618033988749895" in r.stderr
     assert "Warning" not in r.stderr
     assert not (tmp_path / "c.json").exists()
+
+
+#: recurrence reports as the CLI wrote them before lambda, C1 and C2 were
+#: fixed: (sets, seed, the five flags, schedules passed)
+RECURRENCE_REPORTS = [
+    *((("n=5", "delta=0.2", "slack_schedules=50"), seed,
+       (False, False, False, True, True), passed)
+      for seed, passed in zip(range(1, 6), (5, 8, 7, 9, 4))),
+    (("delta=0.2", "epsilon=0.2", "n=400"), 3, (True,) * 5, 100),
+    (("delta=0.24", "n=60", "slack_schedules=200"), 2,
+     (False, False, False, True, True), 200),
+    (("delta=1.6", "n=10"), 4, (False, False, False, True, True), 0),
+    (("epsilon=0.1", "delta=0.2", "n=802", "slack_schedules=5"), 1,
+     (True, True, False, True, True), 5),
+]
+
+
+@pytest.mark.parametrize("sets, seed, flags, passed", RECURRENCE_REPORTS)
+def test_certify_recurrence_reports_are_pinned(tmp_path, capsys, sets, seed, flags,
+                                              passed):
+    argv = ["certify", "--seed", str(seed), "--set", "kind=recurrence",
+            *(a for s in sets for a in ("--set", s))]
+    code, err, out = run_main(tmp_path, capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out.read_text())["report"]
+    names = ("tail_bound_ok", "growth_bound_ok", "stepwise_growth_ok",
+             "stepwise_small_ok", "dichotomy_ok")
+    assert tuple(report[name] for name in names) == flags
+    assert report["slack_schedules_passed"] == passed
+
+
+@pytest.mark.parametrize("key", ["c1", "c2"])
+def test_certify_recurrence_constants_are_not_fields(tmp_path, capsys, key):
+    # C1 = C2 = 1, as for the model map
+    code, err, _ = run_main(tmp_path, capsys, "certify", "--set", "kind=recurrence",
+                            "--set", f"{key}=1.0")
+    assert code == 2
+    assert f"config error: {key}: not a field of certify kind=recurrence" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -360,13 +422,15 @@ REQUIRED = {"coupling": "0.1", "ratio": "0.3", "couplings": "16"}
 
 def _past_bounds(field):
     """The values just past each bound of a numeric field, as config text."""
-    for bound, away in ((field.lo, -math.inf), (field.hi, math.inf)):
+    for bound, away, side in ((field.lo, -math.inf, "lo"), (field.hi, math.inf, "hi")):
         if bound is None:
             continue
         if field.type is int:
             yield str(bound + (1 if away > 0 else -1))
+        elif side in field.open:
+            yield repr(float(bound))
         else:
-            yield repr(float(bound) if field.open else math.nextafter(bound, away))
+            yield repr(math.nextafter(bound, away))
 
 
 def _bound_cases():
