@@ -5,9 +5,9 @@ Two families are generated.  The exact pair
     d_{k+1} = (1 + 2 delta) d_k + delta D_k
     D_{k+1} = (lambda - delta) D_k - b_k d_k,   b_k = (lambda - delta)^(k - N)
 
-with d_0 = 1 and D_0 >= (lambda + delta)^(-N/2), and an inequality
-version (a_k, A_k) driven by the same canonical heights b_k from
-A_0 = sqrt(b_0), each step off its bound by a chosen slack.  As for
+with d_0 = 1 and (lambda + delta)^(-N/2) <= D_0 <= sqrt(b_0), and an
+inequality version (a_k, A_k) driven by the same canonical heights b_k
+from A_0 = sqrt(b_0), each step off its bound by a chosen slack.  As for
 the model map, lambda = LAMBDA_BIG and C1 = C2 = 1.  At small enough
 delta and large enough N the D-component outruns the d-component:
 d_N <= 2 sqrt(delta) D_N and D_N >= D_0 lambda^(N(1-eps)).  N is
@@ -179,14 +179,21 @@ def _check_n(params: RecurrenceParams, N: int) -> None:
 def run_dD(
     params: RecurrenceParams, N: int, D0: float | None = None
 ) -> RecurrenceRun:
-    """Generate the exact (d, D) recurrence and check its conclusions."""
+    """Generate the exact (d, D) recurrence and check its conclusions.
+
+    D0 defaults to the boundary value (lambda + delta)^(-N/2) and may be
+    at most sqrt(b_0), the largest start ``max_steps`` bounds the run for.
+    """
     _check_n(params, N)
-    floor = (LAMBDA_BIG + params.delta) ** (-N / 2.0)
+    b = geometric_heights(params, N)
+    floor, top = (LAMBDA_BIG + params.delta) ** (-N / 2.0), np.sqrt(b[0])
     if D0 is None:
         D0 = floor
-    if not floor * (1.0 - 1e-12) <= D0 < math.inf:
-        raise ValueError("D0 must be finite and at least the admissible boundary value")
-    b = geometric_heights(params, N)
+    if not floor * (1.0 - 1e-12) <= D0 <= top:
+        raise ValueError(
+            f"D0 must be finite and at least the admissible boundary value "
+            f"{floor:g} and at most sqrt(b_0) = {top:g}, got {D0:g}"
+        )
     d, D = _step(params, b, D0, np.zeros((N, 2)))
     return _finish(RecurrenceRun(params=params, n=N, small=d, large=D, heights=b))
 
@@ -249,5 +256,8 @@ def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:
     tol = 1.0 + 1e-9
     A, a = run_a.large, run_a.small
     D, d = run_d.large, run_d.small
-    ok = np.all(A * tol >= D, axis=-1) & np.all((A / a) * tol >= (D / d), axis=-1)
+    # an a_k or d_k that underflowed to 0 gives the true ratio, +inf
+    with np.errstate(divide="ignore"):
+        ratio_a, ratio_d = A / a, D / d
+    ok = np.all(A * tol >= D, axis=-1) & np.all(ratio_a * tol >= ratio_d, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok

@@ -18,12 +18,16 @@ conditions, so the band edges are computed as those eigenvalues.  The
 word w_k is a mirror image of itself on the ring of F_k sites, so the
 reflection folds the ring onto a path of F_k // 2 + 1 sites, and the
 two eigenproblems split into four Jacobi (symmetric tridiagonal)
-matrices on that path that differ only at its ends.  They are solved
-apart, a quarter of the cubic work of two F_k x F_k solves.
+matrices on that path that differ only at its ends.  Each is passed as
+its (diagonal, off-diagonal) pair to LAPACK's tridiagonal eigenvalue
+routine dsterf, found in the LAPACK that numpy's linalg already loaded:
+O(F_k^2) time and O(F_k) memory per level, with the bits that
+``np.linalg.eigvalsh`` gives on the dense matrices.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from functools import lru_cache
 
@@ -52,9 +56,35 @@ OVERFLOW = 1e300
 MAX_ORACLE_INDEX = 16
 
 #: deepest approximant level; level k solves four Jacobi matrices on a
-#: path of F_k // 2 + 1 sites, stored dense for eigvalsh, and F_18 = 4181
-#: makes the largest 2091^2, about 35 MB
+#: path of F_k // 2 + 1 sites, held as their (diagonal, off-diagonal)
+#: pairs, so F_18 = 4181 makes the largest two arrays of 2091 floats
+#: (without dsterf, a dense 2091^2 block of about 35 MB)
 MAX_LEVEL = 18
+
+
+def _lapack_dsterf():
+    """LAPACK dsterf from the OpenBLAS that numpy's linalg loaded, or None.
+
+    numpy 2.x wheels link scipy-openblas64, whose 64-bit-integer LAPACKE
+    entry is int64 scipy_LAPACKE_dsterf64_(int64 n, double *d, double *e);
+    it returns LAPACK's info.  A numpy built against another LAPACK lacks
+    the symbol or the module.
+    """
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsterf64_
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+_DSTERF = _lapack_dsterf()
+
+#: dsyevd scales a matrix of order 2 or more whose largest |entry| exceeds
+#: sqrt(eps / tiny) = 2^485 down to that size before dsterf, and its
+#: eigenvalues back after
+_RMAX = math.sqrt(np.finfo(float).eps / np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +168,8 @@ def _fibonacci_word(k: int) -> np.ndarray:
     return np.array(words[k])
 
 
-def _level_bands(j: int, coupling: float) -> BandSet:
-    """sigma_j from the periodic and antiperiodic eigenvalues, block by block.
+def _jacobi_blocks(j: int, coupling: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Level j's Jacobi matrices as (diagonal, off-diagonal) pairs.
 
     x_j(E) = +1 (resp. -1) exactly at the eigenvalues of the ring operator
     with potential V * w_j and hops 1 but for a corner hop +1 (resp. -1).
@@ -152,11 +182,13 @@ def _level_bands(j: int, coupling: float) -> BandSet:
     operators are four Jacobi matrices on the path, one for each choice at
     its two ends: a fixed site is kept, its hop scaled by sqrt 2, or
     dropped, and the fixed hop adds +1 or -1 to the last diagonal entry.
-    Sorted together, the 2 F_j eigenvalues pair off into the F_j edges.
+    F_1 = 1 is one site whose hop is a loop, two 1 x 1 matrices V + 2 and
+    V - 2.  Either way the matrices hold 2 F_j eigenvalues in all.
     """
     n = fibonacci(j)
-    if n == 1:  # one site whose hop is a loop: V + 2 and V - 2
-        return BandSet([(coupling - 2.0, coupling + 2.0)], generation=j)
+    if n == 1:
+        return [(np.array([coupling + 2.0]), np.empty(0)),
+                (np.array([coupling - 2.0]), np.empty(0))]
     w, c = _fibonacci_word(j), fibonacci(j - 1) - 3
     start = (c + n * (c % 2)) // 2  # 2 start = c mod n
     i = np.arange(n)
@@ -172,14 +204,52 @@ def _level_bands(j: int, coupling: float) -> BandSet:
         # one hop has a fixed site at each end and is scaled to 2
         off[-1] *= math.sqrt(2.0)
         ends = [(m, 0.0), (m - 1, 0.0)]
-    block = np.zeros((m, m))
-    block.flat[1::m + 1] = block.flat[m::m + 1] = off
-    edges = []
+    blocks = []
     for hi, tail in ends:
-        block.flat[::m + 1] = diag
-        block[hi - 1, hi - 1] += tail
-        for lo in (0, 1):  # the start site kept or dropped
-            edges.append(np.linalg.eigvalsh(block[lo:hi, lo:hi]))
+        d = diag[:hi].copy()
+        d[-1] += tail
+        # the start site kept or dropped
+        blocks += [(d[lo:], off[lo:hi - 1]) for lo in (0, 1)]
+    return blocks
+
+
+def _jacobi_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Jacobi matrix with diagonal d, off-diagonal e.
+
+    ``np.linalg.eigvalsh`` of the dense matrix runs LAPACK dsyevd, whose
+    O(m^3) Householder reduction leaves a tridiagonal matrix as it is
+    before it calls dsterf.  So dsterf on copies of (d, e), scaled as
+    dsyevd scales them, gives the same bits in O(m^2) time and O(m)
+    memory.  Where numpy's LAPACK has no dsterf to call, the dense matrix
+    goes to eigvalsh.
+    """
+    m = len(d)
+    if _DSTERF is None:
+        block = np.zeros((m, m))
+        block.flat[::m + 1] = d
+        block.flat[1::m + 1] = block.flat[m::m + 1] = e
+        return np.linalg.eigvalsh(block)
+    if len(e) != max(m - 1, 0):
+        raise ValueError(f"a Jacobi matrix of order {m} has {max(m - 1, 0)} "
+                         f"off-diagonal entries, not {len(e)}")
+    top = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
+    sigma = _RMAX / top if m > 1 and top > _RMAX else 1.0
+    # float64 copies, which dsterf overwrites
+    d, e = np.multiply(d, sigma, dtype=float), np.multiply(e, sigma, dtype=float)
+    info = _DSTERF(m, d.ctypes.data, e.ctypes.data)
+    if info:
+        raise ArithmeticError(f"LAPACK dsterf failed with info = {info} "
+                              f"on a Jacobi matrix of order {m}")
+    return d * (1.0 / sigma)
+
+
+def _level_bands(j: int, coupling: float) -> BandSet:
+    """sigma_j from the periodic and antiperiodic eigenvalues, block by block.
+
+    Sorted together, the 2 F_j eigenvalues of ``_jacobi_blocks`` pair off
+    into the F_j edges.
+    """
+    edges = [_jacobi_eigvalsh(d, e) for d, e in _jacobi_blocks(j, coupling)]
     edges = np.sort(np.concatenate(edges)).reshape(-1, 2)
     return BandSet(edges, generation=j)
 

@@ -66,6 +66,36 @@ def test_a0_and_d0_floors():
             recurrences.run_dD(p, 50, D0=D0)
 
 
+def test_d0_is_capped_at_the_start_max_steps_covers():
+    # max_steps bounds the runs from D_0 <= sqrt(b_0) only; past it a run
+    # at N = max_steps would overflow
+    p = RecurrenceParams()
+    N = recurrences.max_steps(p)
+    with pytest.raises(ValueError, match=r"D0 .* at most sqrt\(b_0\)"):
+        recurrences.run_dD(p, N, D0=1e300)
+    top = np.sqrt(recurrences.geometric_heights(p, N)[0])
+    with pytest.raises(ValueError, match="D0"):
+        recurrences.run_dD(p, N, D0=np.nextafter(top, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = recurrences.run_dD(p, N, D0=top)
+    assert np.all(np.isfinite(run.large)) and run.large[0] == top
+
+
+def test_dominates_reads_an_underflowed_a_as_an_infinite_ratio():
+    # an undershoot slack near 1 drives a_k to 0, where A_k / a_k = +inf
+    p = RecurrenceParams(delta=0.0)
+    N = 736
+    slack = np.zeros((N, 2))
+    slack[:, 0] = 0.999999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_a = recurrences.run_aA(p, N, slack_schedule=slack)
+        r_d = recurrences.run_dD(p, N, D0=r_a.large[0])
+        assert np.any(r_a.small == 0.0)
+        assert recurrences.dominates(r_a, r_d) is True
+
+
 def test_slack_schedule_validation():
     p = RecurrenceParams(delta=1e-3)
     with pytest.raises(ValueError):

@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fibtrace import spectrum
+from fibtrace import cli, spectrum
 from fibtrace.intervals import merge_intervals
 
 
@@ -162,6 +163,47 @@ def test_mirror_blocks_match_the_dense_solve(V):
         assert np.max(np.abs(folded.intervals - dense)) <= bound
         compared.append(j)
     assert compared[:10] == list(range(1, 11))
+
+
+needs_dsterf = pytest.mark.skipif(
+    spectrum._DSTERF is None, reason="numpy's LAPACK exports no dsterf")
+
+
+@needs_dsterf
+def test_dsterf_gives_the_bits_of_the_dense_solve(monkeypatch):
+    # dsterf on the (d, e) pairs against eigvalsh on the same blocks held
+    # dense, past dsyevd's scaling threshold 2^485 too
+    grid = [0.0, 0.1, 0.5, 1.0, 4.0, 16.0, 32.0, 64.0, 128.0, 1e100, 1e200]
+    lapack = {(V, j): spectrum._level_bands(j, V).intervals
+              for V in grid for j in range(1, 16)}
+    monkeypatch.setattr(spectrum, "_DSTERF", None)
+    for (V, j), edges in lapack.items():
+        assert np.array_equal(edges, spectrum._level_bands(j, V).intervals), (V, j)
+
+
+def test_a_failed_dsterf_raises_and_the_cli_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spectrum, "_DSTERF", lambda n, d, e: 1)
+    with pytest.raises(ArithmeticError, match="info = 1"):
+        spectrum._level_bands(5, 1.0)
+    # no pointer goes out with an off-diagonal of the wrong length
+    with pytest.raises(ValueError, match="order 3 has 2 off-diagonal entries, not 3"):
+        spectrum._jacobi_eigvalsh(np.zeros(3), np.ones(3))
+    out = tmp_path / "spec.json"
+    assert cli.main(["spectrum", "--out", str(out), "--set", "coupling=1"]) == 3
+    assert "dsterf failed with info = 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@needs_dsterf
+def test_a_level_solve_holds_o_m_memory():
+    # level 17 has blocks of 1293 sites: dense, one took 13 MB
+    tracemalloc.start()
+    try:
+        spectrum._level_bands(17, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def _half_trace_zeros(k, V):
