@@ -172,8 +172,9 @@ needs_dsterf = pytest.mark.skipif(
 @needs_dsterf
 def test_dsterf_gives_the_bits_of_the_dense_solve(monkeypatch):
     # dsterf on the (d, e) pairs against eigvalsh on the same blocks held
-    # dense, past dsyevd's scaling threshold 2^485 too
-    grid = [0.0, 0.1, 0.5, 1.0, 4.0, 16.0, 32.0, 64.0, 128.0, 1e100, 1e200]
+    # dense, past dsyevd's scaling threshold 2^485 too; at 1e300, scaling
+    # a 1 x 1 block and back, which dsyevd does not, changes its bits
+    grid = [0.0, 0.1, 0.5, 1.0, 4.0, 16.0, 32.0, 64.0, 128.0, 1e100, 1e200, 1e300]
     lapack = {(V, j): spectrum._level_bands(j, V).intervals
               for V in grid for j in range(1, 16)}
     monkeypatch.setattr(spectrum, "_DSTERF", None)
