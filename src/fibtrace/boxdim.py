@@ -207,19 +207,19 @@ def asymptote_check(V_list, k: int) -> list[dict]:
     return rows
 
 
-def cantor_bands(ratio: float, depth: int, maps: int = 2) -> BandSet:
+def cantor_bands(ratio: float, depth: int) -> BandSet:
     """Depth-n interval approximation of a self-similar set in [0, 1].
 
-    ``maps`` affine contractions of the given ratio, anchored at equally
-    spaced offsets; ratio 1/3 with two maps is the middle-thirds Cantor
-    set, with closed-form dimension log(maps) / log(1/ratio).
+    Two affine contractions of the given ratio, anchored at 0 and
+    1 - ratio; ratio 1/3 is the middle-thirds Cantor set, and every
+    ratio gives the closed-form dimension log 2 / log(1/ratio).
     """
-    if not 0 < ratio < 1.0 / maps:
-        raise ValueError("ratio must be in (0, 1/maps)")
+    if not 0 < ratio < 0.5:
+        raise ValueError("ratio must be in (0, 1/2)")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    offsets = np.array([i * (1.0 - ratio) / (maps - 1) for i in range(maps)])
+    offsets = np.array([0.0, 1.0 - ratio])
     intervals = np.array([[0.0, 1.0]])
     for _ in range(depth):
         intervals = (offsets[:, None, None] + ratio * intervals).reshape(-1, 2)
-    return BandSet(intervals, generation=depth)
+    return BandSet(intervals)

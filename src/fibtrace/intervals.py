@@ -41,9 +41,9 @@ class BandSet:
     sorted (n, 2) float array.  Pairs given sorted and strictly separated
     (each lo above the hi before it) are kept as a copy, since
     ``merge_intervals`` would return them unchanged; any others are
-    merged.  ``generation`` records the approximant index or refinement
-    depth the set came from; it is carried through serialization but not
-    used in set arithmetic.
+    merged.  ``generation`` is the level a spectral cover was built from,
+    set by ``spectrum.spectrum_cover`` and written to its output; every
+    other band set, those the methods below return included, holds 0.
     """
 
     intervals: np.ndarray = field(default_factory=list)
@@ -103,13 +103,12 @@ class BandSet:
         return bool(np.any((lo - slack <= e) & (e <= hi + slack)))
 
     def union(self, other: "BandSet") -> "BandSet":
-        # the merged array is already sorted and disjoint, so it is set
-        # directly rather than merged again by __post_init__
+        # the merged array is sorted and disjoint, so it is set directly, not
+        # merged again by __post_init__; generation keeps its default
         merged = object.__new__(BandSet)
         merged.intervals = merge_intervals(
             np.concatenate([self.intervals, other.intervals])
         )
-        merged.generation = max(self.generation, other.generation)
         return merged
 
     def close_gaps(self, gap_tol: float) -> "BandSet":
@@ -122,7 +121,7 @@ class BandSet:
         if not gap_tol >= 0:
             raise ValueError("gap_tol must be >= 0")
         if not self:
-            return BandSet([], generation=self.generation)
+            return BandSet([])
         # a band starts wherever lo clears the previous band's hi by more
         # than gap_tol, and ends at the hi just before the next start
         lo, hi = self.intervals.T
@@ -132,7 +131,6 @@ class BandSet:
         kept[:-1, 1], kept[-1, 1] = hi[split], hi[-1]
         closed = object.__new__(BandSet)
         closed.intervals = kept
-        closed.generation = self.generation
         return closed
 
     def intersect_window(self, lo: float, hi: float) -> "BandSet":
@@ -141,7 +139,7 @@ class BandSet:
             raise ValueError("window has hi < lo")
         a, b = self.intervals.T
         clipped = np.clip(self.intervals[(b >= lo) & (a <= hi)], lo, hi)
-        return BandSet(clipped, generation=self.generation)
+        return BandSet(clipped)
 
     def as_array(self) -> np.ndarray:
         return self.intervals.copy()

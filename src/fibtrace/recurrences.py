@@ -7,7 +7,9 @@ Two families are generated.  The exact pair
 
 with d_0 = 1 and (lambda + delta)^(-N/2) <= D_0 <= sqrt(b_0), and an
 inequality version (a_k, A_k) driven by the same canonical heights b_k
-from A_0 = sqrt(b_0), each step off its bound by a chosen slack.  As for
+from A_0 = sqrt(b_0), each step off its bound by a chosen slack.
+``run_dD`` starts the exact pair at the low end of that interval, and
+``run_aA`` at zero slack is the exact pair from the high end.  As for
 the model map, lambda = LAMBDA_BIG and C1 = C2 = 1.  At small enough
 delta and large enough N the D-component outruns the d-component:
 d_N <= 2 sqrt(delta) D_N and D_N >= D_0 lambda^(N(1-eps)).  N is
@@ -125,8 +127,8 @@ def max_steps(params: RecurrenceParams) -> int:
 
     With L = lambda, the growth factor L^(N(1-eps)) must be finite, the
     first height b_0 = (L - delta)^(-N) normal, and the bound (L / s) B_N
-    below on the values of run_dD from D_0 <= sqrt(b_0) (the default D_0
-    is) and of run_aA under any slack in [0, 1) finite.  Let s =
+    below on the values of run_dD, whose D_0 is at most sqrt(b_0), and of
+    run_aA from A_0 = sqrt(b_0) under any slack in [0, 1) finite.  Let s =
     max(sqrt(delta), 1/4) and n_k = max(|d_k|, s |D_k| / sqrt(b_k)) <= B_k,
     with B_0 = max(1, sqrt(delta)) and B_{k+1} = (G + m sqrt(b_k)) B_k,
 
@@ -176,24 +178,15 @@ def _check_n(params: RecurrenceParams, N: int) -> None:
         )
 
 
-def run_dD(
-    params: RecurrenceParams, N: int, D0: float | None = None
-) -> RecurrenceRun:
+def run_dD(params: RecurrenceParams, N: int) -> RecurrenceRun:
     """Generate the exact (d, D) recurrence and check its conclusions.
 
-    D0 defaults to the boundary value (lambda + delta)^(-N/2) and may be
-    at most sqrt(b_0), the largest start ``max_steps`` bounds the run for.
+    D_0 = (lambda + delta)^(-N/2), the low end of the admissible starts;
+    ``run_aA`` at zero slack is the exact run from the high end, sqrt(b_0).
     """
     _check_n(params, N)
     b = geometric_heights(params, N)
-    floor, top = (LAMBDA_BIG + params.delta) ** (-N / 2.0), np.sqrt(b[0])
-    if D0 is None:
-        D0 = floor
-    if not floor * (1.0 - 1e-12) <= D0 <= top:
-        raise ValueError(
-            f"D0 must be finite and at least the admissible boundary value "
-            f"{floor:g} and at most sqrt(b_0) = {top:g}, got {D0:g}"
-        )
+    D0 = (LAMBDA_BIG + params.delta) ** (-N / 2.0)
     d, D = _step(params, b, D0, np.zeros((N, 2)))
     return _finish(RecurrenceRun(params=params, n=N, small=d, large=D, heights=b))
 

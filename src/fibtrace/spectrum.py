@@ -251,7 +251,7 @@ def _level_bands(j: int, coupling: float) -> BandSet:
     """
     edges = [_jacobi_eigvalsh(d, e) for d, e in _jacobi_blocks(j, coupling)]
     edges = np.sort(np.concatenate(edges)).reshape(-1, 2)
-    return BandSet(edges, generation=j)
+    return BandSet(edges)
 
 
 def approximant_chain(k: int, coupling: float) -> list[BandSet]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,10 @@ def test_model_map_rejects_bad_params():
     for delta in (-1e-3, np.nan):
         with pytest.raises(ValueError, match="delta must be in"):
             certify.make_model_map(delta=delta)
+    # the map itself refuses a delta its proved bounds do not cover
+    for delta in (-1e-3, 2.5, np.nan):
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 2\]"):
+            certify.ModelMap(delta=delta)
     # the largest delta whose second derivatives C1 = 1 bounds
     assert certify.make_model_map(delta=2.0, seed=0).delta == 2.0
 
@@ -75,7 +81,6 @@ def test_linear_map_certificate_exact():
     p = np.array([0.1, 0.2, z0])
     v = np.array([1.0, 0.0, np.sqrt(z0)]) / np.sqrt(1 + z0)
     rep = certify.expansion_certificate(m, p, v)
-    assert rep.exited is True
     assert rep.all_ok is True
     # z grows by exactly lambda per step; the exit lands on step 30 or
     # 31 depending on which side of 1.0 the rounded lambda^0 falls
@@ -88,7 +93,6 @@ def test_perturbed_certificates_pass():
     P, V = _cone_batch(np.random.default_rng(12), 25)
     for p, v in zip(P, V):
         rep = certify.expansion_certificate(m, p, v)
-        assert rep.exited
         assert rep.all_ok
 
 
@@ -136,16 +140,20 @@ def test_batched_certificates_match_one_row_calls():
         assert vars(one) == {name: col[i] for name, col in fields.items()}
 
 
-def test_batch_reports_inconclusive_only_for_the_slow_row():
-    m = certify.make_model_map(delta=1e-3, seed=5)
-    zs = certify.LAMBDA_BIG ** -np.array([10.5, 60.5, 12.5])
-    P = np.column_stack([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5], zs])
-    V = np.tile([0.0, 0.0, 1.0], (3, 1))
-    rep = certify.expansion_certificates(m, P, V, max_iter=30)
-    assert rep.exited.tolist() == [True, False, True]
-    assert rep.all_ok.tolist() == [True, False, True]
-    assert rep.exit_time[1] == 30
-    assert rep.exit_time[0] < rep.exit_time[2] < 30
+def test_the_slowest_map_exits_at_the_proved_step():
+    # delta = 2 and a2 = x - pi/2: from x = 0 the wave sin a2 is -1, so z
+    # grows by the least factor the proof allows, lambda - 1/4, until x
+    # has drifted near the exit; each row exits at the proved bound
+    # floor(log(1/z_0) / log rho) + 1, rho = (lambda - 1/4)(1 - 2^-50)
+    m = certify.ModelMap(delta=2.0, phases=np.array([0.0, 0.0, -np.pi / 2.0]))
+    rho = (certify.LAMBDA_BIG - 0.25) * (1.0 - 2.0**-50)
+    for z0, steps in ((0.5, 1), (1e-100, 268), (2.0**-1022, 822)):
+        assert math.floor(math.log(1.0 / z0) / math.log(rho)) + 1 == steps
+        rep = certify.expansion_certificate(m, [0.0, 0.0, z0], [0.0, 0.0, 1.0])
+        assert rep.exit_time == steps and rep.all_ok
+    # from the least subnormal start the growth overflows first
+    with pytest.raises(ValueError, match="norm overflowed at step 824$"):
+        certify.expansion_certificate(m, [0.0, 0.0, 5e-324], [0.0, 0.0, 1.0])
 
 
 def test_norms_past_the_float_range_of_squares_are_scored_as_unscaled():
@@ -297,7 +305,7 @@ def test_batch_orbit_growth_flags_are_per_row():
     assert rep.expansion_along_orbit_ok.tolist() == [True, False, True]
 
 
-def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5, max_iter=100000):
+def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5):
     """The (n, 3)-row stepping loop that expansion_certificates ran
     before it held its state as (3, n) columns, pushing with
     ``_push_formula``."""
@@ -317,7 +325,7 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5, max_iter=100000):
     v_xy0 = row_norms(V[:, :2])
     rate = certify.LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
     eta_start = np.abs(V[:, 2]) >= eta * v_xy0
-    exit_time = np.full(n, max_iter)
+    exit_time = np.zeros(n, dtype=int)
     w_exit = np.zeros((n, 3))
     grew = np.zeros(n, dtype=bool)
     dipped = np.zeros(n, dtype=bool)
@@ -325,9 +333,9 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5, max_iter=100000):
     q, w = P, V
     v0_norm = row_norms(V)
     dip = np.zeros(n, dtype=bool)
-    for k in range(1, max_iter + 1):
-        if not len(active):
-            break
+    k = 0
+    while len(active):
+        k += 1
         q, w = _push_formula(m, q, w)
         with np.errstate(over="ignore"):
             g = row_norms(w) / v0_norm
@@ -345,8 +353,6 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5, max_iter=100000):
             keep = ~out
             active, q, w = active[keep], q[keep], w[keep]
             v0_norm, dip = v0_norm[keep], dip[keep]
-    exited = np.ones(n, dtype=bool)
-    exited[active] = False
     u_xy = row_norms(w_exit[:, :2])
     u_z = np.abs(w_exit[:, 2])
     if m.delta > 0.0:
@@ -355,9 +361,8 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5, max_iter=100000):
         thin = u_xy <= v_xy0 * (1.0 + 1e-12)
     return certify.ExpansionReport(
         exit_time=exit_time,
-        exited=exited,
         expansion_at_exit_ok=grew,
-        thin_cone_ok=exited & thin,
+        thin_cone_ok=thin,
         expansion_along_orbit_ok=~(eta_start & dipped),
     )
 
@@ -374,4 +379,3 @@ def test_column_certificates_match_the_row_engine(delta, n0):
         ref = _reference_certificates(m, P, V)
         for name, col in vars(ref).items():
             assert np.array_equal(vars(got)[name], col), (seed, name)
-        assert ref.exited.all()

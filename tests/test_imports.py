@@ -165,3 +165,62 @@ def test_every_public_function_has_a_caller(monkeypatch):
     found += [f"REFERENCE names {stem}.{name}, which is not public"
               for stem, name in sorted(REFERENCE.keys() - public)]
     assert found == []
+
+
+#: defaulted parameters of public functions that no call in src/fibtrace
+#: or perfbench sets, kept on purpose; those of REFERENCE functions are
+#: all kept
+UNSET_DEFAULTS = {
+    ("certify", "expansion_certificate", "epsilon"):
+        "passed on to expansion_certificates, where the tests' dip case sets it",
+    ("certify", "expansion_certificate", "eta"):
+        "passed on to expansion_certificates, where the tests' dip case sets it",
+    ("empirical", "sample_bounded_points", "norm_cap"): "ROADMAP item 8's sampler replaces it",
+    ("empirical", "sample_bounded_points", "grid"): "ROADMAP item 8's sampler replaces it",
+}
+
+
+def _defaulted(fn):
+    """The names of a function's parameters that have defaults."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    return [p.arg for p in positional[len(positional) - len(a.defaults):]] + [
+        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _arguments_passed(paths):
+    """(callee name, keyword) for every argument a call passes by keyword,
+    and (callee name, i) for its i-th positional one before any *args."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((name, i))
+            passed.update((name, k.arg) for k in node.keywords if k.arg)
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no caller overrides is a knob that does nothing
+    passed = _arguments_passed(sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+    unset = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        public = set(_declared_all(tree) or ())
+        for fn in tree.body:
+            if (not isinstance(fn, ast.FunctionDef) or fn.name not in public
+                    or (path.stem, fn.name) in REFERENCE):
+                continue
+            slot = {p.arg: i for i, p in enumerate(fn.args.posonlyargs + fn.args.args)}
+            unset |= {(path.stem, fn.name, p) for p in _defaulted(fn)
+                      if (fn.name, p) not in passed and (fn.name, slot.get(p)) not in passed}
+    found = [f"{stem}.{name}: no call sets {param}"
+             for stem, name, param in sorted(unset - UNSET_DEFAULTS.keys())]
+    found += [f"UNSET_DEFAULTS names {stem}.{name}'s {param}, which is not an unset default"
+              for stem, name, param in sorted(UNSET_DEFAULTS.keys() - unset)]
+    assert found == []

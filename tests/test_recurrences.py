@@ -37,12 +37,21 @@ def test_param_validation():
 
 
 def test_zero_slack_aA_equals_dD():
+    # each engine is the exact pair from one end of the admissible starts
+    # (lambda + delta)^(-N/2) <= D_0 <= sqrt(b_0): run_dD from the low end,
+    # run_aA at zero slack from the high end
     p = RecurrenceParams(delta=1e-3)
     N = 120
-    r_a = recurrences.run_aA(p, N)
-    r_d = recurrences.run_dD(p, N, D0=r_a.large[0])
-    assert np.array_equal(r_a.small, r_d.small)
-    assert np.array_equal(r_a.large, r_d.large)
+    b = recurrences.geometric_heights(p, N)
+    for run, D0 in ((recurrences.run_dD(p, N), (LAMBDA_BIG + p.delta) ** (-N / 2.0)),
+                    (recurrences.run_aA(p, N), np.sqrt(b[0]))):
+        d, D = np.empty(N + 1), np.empty(N + 1)
+        d[0], D[0] = 1.0, D0
+        for k in range(N):
+            d[k + 1] = (1.0 + 2.0 * p.delta) * d[k] + p.delta * D[k]
+            D[k + 1] = (LAMBDA_BIG - p.delta) * D[k] - b[k] * d[k]
+        assert np.array_equal(run.small, d)
+        assert np.array_equal(run.large, D)
 
 
 def test_random_slack_schedules_dominate():
@@ -54,32 +63,9 @@ def test_random_slack_schedules_dominate():
             [rng.uniform(0, 0.3, N), rng.uniform(0, 0.2, N)]
         )
         r_a = recurrences.run_aA(p, N, slack_schedule=slack)
-        r_d = recurrences.run_dD(p, N, D0=r_a.large[0])
+        r_d = recurrences.run_aA(p, N)
         assert r_a.passed
         assert recurrences.dominates(r_a, r_d)
-
-
-def test_a0_and_d0_floors():
-    p = RecurrenceParams(delta=1e-3)
-    for D0 in (1e-30, math.nan, math.inf):
-        with pytest.raises(ValueError, match="D0 must be finite and at least"):
-            recurrences.run_dD(p, 50, D0=D0)
-
-
-def test_d0_is_capped_at_the_start_max_steps_covers():
-    # max_steps bounds the runs from D_0 <= sqrt(b_0) only; past it a run
-    # at N = max_steps would overflow
-    p = RecurrenceParams()
-    N = recurrences.max_steps(p)
-    with pytest.raises(ValueError, match=r"D0 .* at most sqrt\(b_0\)"):
-        recurrences.run_dD(p, N, D0=1e300)
-    top = np.sqrt(recurrences.geometric_heights(p, N)[0])
-    with pytest.raises(ValueError, match="D0"):
-        recurrences.run_dD(p, N, D0=np.nextafter(top, 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run = recurrences.run_dD(p, N, D0=top)
-    assert np.all(np.isfinite(run.large)) and run.large[0] == top
 
 
 def test_dominates_reads_an_underflowed_a_as_an_infinite_ratio():
@@ -91,7 +77,7 @@ def test_dominates_reads_an_underflowed_a_as_an_infinite_ratio():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r_a = recurrences.run_aA(p, N, slack_schedule=slack)
-        r_d = recurrences.run_dD(p, N, D0=r_a.large[0])
+        r_d = recurrences.run_aA(p, N)
         assert np.any(r_a.small == 0.0)
         assert recurrences.dominates(r_a, r_d) is True
 
@@ -214,7 +200,7 @@ def test_stacked_dominates_equals_single_calls(delta, N):
     p = RecurrenceParams(delta=delta)
     slack = _slack_stack(np.random.default_rng(22), 40, N)
     stacked = recurrences.run_aA(p, N, slack_schedule=slack)
-    ref = recurrences.run_dD(p, N, D0=stacked.large[0, 0])
+    ref = recurrences.run_aA(p, N)
     dom = recurrences.dominates(stacked, ref)
     assert dom.shape == (40,) and dom.dtype == bool
     for s, row in enumerate(slack):

@@ -229,11 +229,10 @@ def test_strong_coupling_cover_holds_every_zero():
     assert all(cover.contains(z) for z in zeros)
 
 
-def _pair_is_resolved(lower, upper, V):
+def _pair_is_resolved(lower, upper, j, V):
     """The cover rule: for V > 0 levels j and j + 1 hold F_j and F_{j+1}
     bands, and their gap-free union's narrowest band is wider than 100 ulp
     of its largest |edge|."""
-    j = lower.generation
     if V > 0 and (len(lower), len(upper)) != (
         spectrum.fibonacci(j), spectrum.fibonacci(j + 1)
     ):
@@ -250,8 +249,8 @@ def test_cover_backs_off_past_the_float_floor(tmp_path, V, k):
     assert 1 <= j < k
     chain = spectrum.approximant_chain(j + 2, V)
     lower, upper, deeper = chain[j - 1], chain[j], chain[j + 1]
-    assert _pair_is_resolved(lower, upper, V)
-    assert not _pair_is_resolved(upper, deeper, V)
+    assert _pair_is_resolved(lower, upper, j, V)
+    assert not _pair_is_resolved(upper, deeper, j + 1, V)
     assert np.array_equal(cover.intervals, lower.union(upper).intervals)
     # the CLI reports the level it reached, without numpy warnings
     out = tmp_path / "spec.json"
@@ -283,7 +282,7 @@ def test_dimension_of_an_unresolved_level_backs_off(tmp_path):
 def test_every_cover_is_the_deepest_resolved_pair(V):
     chain = spectrum.approximant_chain(15, V)
     resolved = [None] + [
-        _pair_is_resolved(chain[j - 1], chain[j], V) for j in range(1, 15)
+        _pair_is_resolved(chain[j - 1], chain[j], j, V) for j in range(1, 15)
     ]
     for k in range(1, 15):
         cover = spectrum.spectrum_cover(V, k, 0.0)
