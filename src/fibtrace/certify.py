@@ -156,20 +156,27 @@ class ModelMap:
     def linear(self) -> np.ndarray:
         return np.diag(_SCALE)
 
-    def _waves(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Waves (sin a0, cos a1, sin a2) and slopes (cos a0, sin a1, cos a2)."""
-        x, y = p[0], p[1]
-        plus, minus = x + y, x - y
-        args = np.array([plus, minus, x, plus, minus, x])
-        sines = np.sin(args + _column(self._shifts, p.ndim))
-        return sines[:3], sines[3:]
+    def _waves(self, p: np.ndarray) -> np.ndarray:
+        """Waves (sin a0, cos a1, sin a2), then slopes (cos a0, sin a1,
+        cos a2), as one (6, ...) array: the sines of (a, a) + shifts,
+        taken in place in the buffer that holds their arguments."""
+        args = np.empty((6,) + p.shape[1:])
+        np.add(p[0], p[1], out=args[0, ...])
+        np.subtract(p[0], p[1], out=args[1, ...])
+        args[2] = p[0]
+        args[3:] = args[:3]
+        args += _column(self._shifts, p.ndim)
+        return np.sin(args, out=args)
 
-    def _image(self, p: np.ndarray, waves: np.ndarray) -> np.ndarray:
-        return p * _column(_SCALE, p.ndim) + (self.delta / 8.0) * p[2] * waves
+    def _image(self, p: np.ndarray, waves: np.ndarray, sz: np.ndarray) -> np.ndarray:
+        """A p + ((delta/8) z) waves, given sz = (delta/8) z."""
+        image = p * _column(_SCALE, p.ndim)
+        image += sz * waves
+        return image
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        return self._image(p, self._waves(p)[0])
+        return self._image(p, self._waves(p)[:3], (self.delta / 8.0) * p[2])
 
     def jacobian(self, p) -> np.ndarray:
         """Differential at p, shape (3, 3, ...): column j is Df(p) e_j."""
@@ -183,16 +190,27 @@ class ModelMap:
         Df v = A v + (delta/8) (z slopes * (G v) + waves v_z), where the
         rows of G, the gradients of the wave arguments signed so that
         wave i's derivative is slope i times row i, are (1, 1, 0),
-        (-1, 1, 0) and (1, 0, 0).
+        (-1, 1, 0) and (1, 0, 0).  The products associate as
+        ((delta/8) z) slopes (G v) and ((delta/8) waves) v_z.
         """
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        waves, slopes = self._waves(p)
+        sines = self._waves(p)
+        waves, slopes = sines[:3], sines[3:]
         s = self.delta / 8.0
+        sz = s * p[2]
+        gv = np.empty_like(v)
+        np.add(v[0], v[1], out=gv[0, ...])
+        np.subtract(v[1], v[0], out=gv[1, ...])
+        gv[2] = v[0]
+        term = sz * slopes
+        term *= gv
         pushed = v * _column(_SCALE, v.ndim)
-        pushed += (s * p[2]) * slopes * np.array([v[0] + v[1], v[1] - v[0], v[0]])
-        pushed += s * waves * v[2]
-        return self._image(p, waves), pushed
+        pushed += term
+        np.multiply(s, waves, out=term)
+        term *= v[2]
+        pushed += term
+        return self._image(p, waves, sz), pushed
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
@@ -263,10 +281,14 @@ def expansion_certificates(
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
     stepped, held coordinate first as (3, n) columns, until the last one
-    exits.  Norms whose squares overflow are taken scaled by the row's
-    largest |component| (``_norms``); a pushed vector whose growth is
-    still not finite, as when its components overflow, raises
-    ValueError.  Returns one report whose fields hold every row.
+    exits.  Each start vector is first scaled by the exact power of two
+    that brings its largest |component| into [1/2, 1), as
+    ``cone_member_3d`` scales it, so that its norm cannot underflow; a
+    unit vector is scaled by 1 or 1/2.  Norms whose squares overflow
+    are taken scaled by the row's largest |component| (``_norms``); a
+    pushed vector whose growth is still not finite, as when its
+    components overflow, raises ValueError.  Returns one report whose
+    fields hold every row.
 
     Every row exits or raises.  The z-row z (lambda + (delta/8) sin a2)
     with 0 <= delta <= 2 gives z_{k+1} >= (lambda - 1/4) z_k, whatever
@@ -290,6 +312,10 @@ def expansion_certificates(
         raise ValueError("start point must have z in (0, 1)")
     if not np.all(cone_member_3d(V, P[:, 2])):
         raise ValueError("start vector is outside the cone")
+    # the exact power of two that brings each row's largest |component|
+    # into [1/2, 1), so that no start norm underflows; every check is
+    # a ratio of norms of one row, which the scaling leaves unchanged
+    V = np.ldexp(V, -np.frexp(np.max(np.abs(V), axis=1))[1][:, None])
     n = len(P)
     rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
     exit_time = np.zeros(n, dtype=int)

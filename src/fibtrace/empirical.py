@@ -10,10 +10,15 @@ singular points, where the vector stayed inside the unstable cone.
 
 The certificate works on the whole orbit window at once: one
 ``trace_orbit`` call gives every sample's n + 1 orbit points, and the
-masks, Jacobians, torus frames and seed vectors are computed on all of
-them together.  Only the transport of the carried vectors, which resets
+masks, torus frames and seed vectors are computed on all of them
+together.  Only the transport of the carried vectors, which resets
 inside the singular neighborhoods, runs step by step; the cone test
-then runs once, on every (step, sample) pair it checked.
+then runs once, on every (step, sample) pair it checked.  Points,
+frames and vectors are held coordinate first, as (3, m) columns: the
+orbit's x, y and z rows are slices of the ``trace_orbit`` array.  Every
+sum over the three coordinates is written out in the order numpy's
+reductions, ``einsum`` and stacked matmuls add it, so the counts and
+ratios are those of the row-major (m, 3) engine bit for bit.
 """
 
 from __future__ import annotations
@@ -32,20 +37,7 @@ __all__ = [
     "EmpiricalReport",
     "empirical_trace_certificate",
     "sample_bounded_points",
-    "trace_jacobian",
 ]
-
-
-def trace_jacobian(p) -> np.ndarray:
-    """Differential of the trace map; a (..., 3) array gives (..., 3, 3)."""
-    p = np.asarray(p, dtype=float)
-    jac = np.zeros(p.shape + (3,))
-    jac[..., 0, 0] = 2.0 * p[..., 1]
-    jac[..., 0, 1] = 2.0 * p[..., 0]
-    jac[..., 0, 2] = -1.0
-    jac[..., 1, 0] = 1.0
-    jac[..., 2, 1] = 1.0
-    return jac
 
 
 def _bounded_rows(x, y, z, n_steps: int, norm_cap, backward: bool) -> np.ndarray:
@@ -135,50 +127,70 @@ def sample_bounded_points(
     return np.concatenate(kept)[:n_samples]
 
 
-def _unstable_frame(p) -> tuple[np.ndarray, np.ndarray]:
-    """Pushed-forward unstable/stable directions at the V=0 shadows of p.
+#: the torus eigen-directions as rows (V_U, V_S)
+_TORUS_FRAME = np.array([torus.V_U, torus.V_S])
+#: offsets, in rows of a trace_orbit array, of a window point's x, y, z
+_LAGS = np.array([[2], [1], [0]])
 
-    Accepts a (..., 3) array of points; both directions come back with
-    the same shape.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of each column of two (3, ...) arrays, summed in coordinate
+    order, as ``np.sum`` sums a length-3 axis (up to the sign of a zero
+    sum, which no caller's result depends on)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _unstable_frame(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pushed-forward unstable/stable directions at the V=0 shadows of q.
+
+    Takes (3, m) points and returns two (3, m) direction arrays: DF V_U
+    and DF V_S, DF the semiconjugacy's Jacobian at the preimage
+    ``torus.invert_semiconj`` picks.  DF's first row is (f, f), so its
+    entries come from one (m, 2) @ (2, 2) product, whose columns are
+    ordered so that BLAS dgemm rounds as the stacked matmul DF @ V_U
+    did; its other rows hold one nonzero entry each, (g, 0) and (0, h),
+    and give plain products.  At m = 1 numpy takes the product by gemv,
+    which may round the first row's last bit otherwise; the certificate
+    checks nothing in a window with one far point, so that frame never
+    reaches its output.
     """
-    t = torus.invert_semiconj(p)
-    jac = torus.df_semiconj(t)
-    return jac @ torus.V_U, jac @ torus.V_S
+    jac = torus.df_semiconj(torus.invert_semiconj(q.T))
+    frame = np.empty((2,) + q.shape)
+    frame[:, 0] = (jac[:, 0] @ _TORUS_FRAME[:, ::-1].T).T
+    frame[:, 1] = _TORUS_FRAME[:, :1] * jac[:, 1, 0]
+    frame[:, 2] = _TORUS_FRAME[:, 1:] * jac[:, 2, 1]
+    return frame[0], frame[1]
 
 
-def _project_tangent(v, p) -> np.ndarray:
+def _project_tangent(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Remove from each v its component normal to the surface through p.
 
-    Rows whose surface gradient (nearly) vanishes keep v unchanged.
+    Takes (3, m) vectors and points.  Rows whose surface gradient
+    (nearly) vanishes keep v unchanged.
     """
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    grad = np.stack(
-        [
-            2.0 * x - 2.0 * y * z,
-            2.0 * y - 2.0 * x * z,
-            2.0 * z - 2.0 * x * y,
-        ],
-        axis=-1,
-    )
-    g2 = np.sum(grad * grad, axis=-1)
+    x, y, z = p
+    two_x, two_y = 2.0 * x, 2.0 * y
+    grad = np.array([two_x - two_y * z, two_y - two_x * z, 2.0 * z - two_x * y])
+    g2 = _dot(grad, grad)
     flat = g2 < 1e-14
-    scale = np.sum(v * grad, axis=-1) / np.where(flat, 1.0, g2)
-    return v - np.where(flat, 0.0, scale)[..., None] * grad
+    scale = _dot(v, grad) / np.where(flat, 1.0, g2)
+    return v - np.where(flat, 0.0, scale) * grad
 
 
 def _frame_coefficients(e_u, e_s, w) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients of each w on the basis (e_u, e_s).
 
-    Solves the 2x2 normal equations in closed form.  Where the Gram
-    determinant is 0 the basis has rank <= 1 (it vanishes where the
-    semiconjugacy's differential does), and the minimum-norm solution
-    B^T w / ||B||_F^2, or 0 for B = 0, is returned, as lstsq would.
+    Takes (3, m) arrays.  Solves the 2x2 normal equations in closed
+    form.  Where the Gram determinant is 0 the basis has rank <= 1 (it
+    vanishes where the semiconjugacy's differential does), and the
+    minimum-norm solution B^T w / ||B||_F^2, or 0 for B = 0, is
+    returned, as lstsq would.
     """
-    a = np.sum(e_u * e_u, axis=-1)
-    b = np.sum(e_u * e_s, axis=-1)
-    c = np.sum(e_s * e_s, axis=-1)
-    r_u = np.sum(e_u * w, axis=-1)
-    r_s = np.sum(e_s * w, axis=-1)
+    a = _dot(e_u, e_u)
+    b = _dot(e_u, e_s)
+    c = _dot(e_s, e_s)
+    r_u = _dot(e_u, w)
+    r_s = _dot(e_s, w)
     det = a * c - b * b
     full = det > 0.0
     trace = a + c
@@ -186,6 +198,33 @@ def _frame_coefficients(e_u, e_s, w) -> tuple[np.ndarray, np.ndarray]:
     coef_u = np.where(full, c * r_u - b * r_s, r_u) / den
     coef_s = np.where(full, a * r_s - b * r_u, r_s) / den
     return coef_u, coef_s
+
+
+def _window_points(seq: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(3, len(j)) x, y, z of the points j of an orbit window.
+
+    seq is a (n_forward + 3, n) ``trace_orbit`` array of n samples.  Its
+    window point j = k n + i is T^k of sample i, (s_{k+2}, s_{k+1}, s_k)
+    of that sample's sequence: entries j + 2n, j + n and j of seq
+    flattened.
+    """
+    return seq.reshape(-1)[j + seq.shape[1] * _LAGS]
+
+
+def _tangent_step(two_x: np.ndarray, two_y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """DT(p) v = (2y v0 + 2x v1 - v2, v0, v1) for (3, ...) columns v.
+
+    Takes 2x and 2y of the points p.  The first row is summed as
+    (2y v0 - v2) + 2x v1, the order in which ``np.einsum("nij,nj->ni")``
+    adds DT's terms, so finite vectors step to the same bits, but for
+    the sign of a zero (einsum adds 0 v1 and 0 v2 to v0).
+    """
+    out = np.empty_like(v)
+    np.multiply(two_y, v[0], out=out[0])
+    out[0] -= v[2]
+    out[0] += two_x * v[1]
+    out[1:] = v[:2]
+    return out
 
 
 @dataclass
@@ -213,15 +252,20 @@ class EmpiricalReport:
 def _eigenframe_distance(p, inv_frame: np.ndarray) -> np.ndarray:
     """Distance to the nearest singular point, in the eigenbasis frame.
 
-    Accepts an (n, 3) array of points and returns an (n,) array.  The
-    offsets to the four points go through one flat matmul, and each
-    norm is summed a^2 + b^2 + c^2 in that order, as ``np.linalg.norm``
-    sums it.
+    Takes the x, y and z (m,) arrays of the points, as a (3, m) array or
+    a sequence of three, and returns an (m,) array.  The offsets to the
+    four points go through one inv_frame @ (3, 4m) matmul, whose bits
+    are those of the row-major (4m, 3) @ inv_frame.T, and each norm is
+    summed a^2 + b^2 + c^2 in that order, as ``np.linalg.norm`` sums it.
     """
-    deltas = (p[:, None, :] - singular_points()).reshape(-1, 3) @ inv_frame.T
-    deltas *= deltas
-    r = np.sqrt(deltas[:, 0] + deltas[:, 1] + deltas[:, 2]).reshape(-1, 4)
-    return np.minimum(np.minimum(r[:, 0], r[:, 1]), np.minimum(r[:, 2], r[:, 3]))
+    m = len(p[0])
+    offsets = np.empty((3, 4, m))
+    for coord, s, out in zip(p, singular_points().T, offsets):
+        np.subtract(coord, s[:, None], out=out)
+    e = inv_frame @ offsets.reshape(3, -1)
+    e *= e
+    r = np.sqrt(e[0] + e[1] + e[2]).reshape(4, m)
+    return np.minimum(np.minimum(r[0], r[1]), np.minimum(r[2], r[3]))
 
 
 def empirical_trace_certificate(
@@ -271,79 +315,78 @@ def _certify_points(
     bounded points.
 
     Everything that depends only on the orbit is computed once, on the
-    whole window of (n_forward + 1) x n orbit points from one
-    ``trace_orbit`` call: the far-from-singular masks, the Jacobians,
-    and, on the far points, the torus frames and the unit seed vectors.
-    The step loop then only seeds, resets and transports the carried
-    vectors and records which (step, row) pairs are checked; the cone
-    test runs once, on every recorded pair.
+    whole window of m = (n_forward + 1) n orbit points from one
+    ``trace_orbit`` call: the far-from-singular masks and, on the far
+    points, the torus frames and the unit seed vectors.  The step loop
+    then only seeds, resets and transports the carried vectors and
+    records which (step, row) pairs are checked; the cone test runs
+    once, on every recorded pair.  Point j of the window, j = k n + i,
+    is T^k of sample i (see ``_window_points``).
     """
     frame = singular_eigen().eigenvectors
     inv_frame = np.linalg.inv(frame)
     target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
     n = len(pts)
-    # orbit[k] is T^k(pts); a point that is stepped must be finite, as
-    # trace_step requires
     seq = trace_orbit(pts[:, 2], pts[:, 1], pts[:, 0], n_forward)
-    orbit = np.stack([seq[2:], seq[1:-1], seq[:-2]], axis=-1)
-    if not np.all(np.isfinite(orbit[:-1])):
+    # a point that is stepped, one of T^k(pts) for k < n_forward, must be
+    # finite, as trace_step requires
+    if n_forward and not np.all(np.isfinite(seq[:-1])):
         raise ValueError("point has non-finite coordinates")
-    flat = orbit.reshape(-1, 3)
-    far = _eigenframe_distance(flat, inv_frame) >= singular_radius
+    x, y, z = seq[2:], seq[1:-1], seq[:-2]
+    far = _eigenframe_distance(
+        (x.reshape(-1), y.reshape(-1), z.reshape(-1)), inv_frame
+    ) >= singular_radius
     # frames are needed only where a vector is seeded or checked, and
     # both happen only on far points
     at = np.flatnonzero(far)
-    q_far = flat[at]
+    q_far = _window_points(seq, at)
     u_far, s_far = _unstable_frame(q_far)
-    e_u = np.zeros_like(flat)
-    e_s = np.zeros_like(flat)
-    e_u[at], e_s[at] = u_far, s_far
     w0 = _project_tangent(u_far, q_far)
-    n0 = np.linalg.norm(w0, axis=-1)
+    n0 = np.sqrt(_dot(w0, w0))
     good = n0 > 1e-10
-    seedable = np.zeros(len(flat), dtype=bool)
-    seedable[at[good]] = True
-    unit = np.zeros_like(flat)
-    unit[at[good]] = w0[good] / n0[good, None]
-    del q_far, u_far, s_far, w0, n0, good
     shape = (n_forward + 1, n)
-    far, seedable = far.reshape(shape), seedable.reshape(shape)
-    unit = unit.reshape(shape + (3,))
-    jac = trace_jacobian(orbit[:-1])
+    seedable = np.zeros(shape, dtype=bool)
+    seedable.reshape(-1)[at[good]] = True
+    unit = np.zeros((3,) + shape)
+    unit.reshape(3, -1)[:, at[good]] = w0[:, good] / n0[good]
+    del q_far, w0, n0, good
+    far = far.reshape(shape)
+    two_x, two_y = 2.0 * x[:-1], 2.0 * y[:-1]
     # the carried vector v is dropped inside every singular neighborhood
     # and re-seeded on exit, mirroring how the orbit is split into
     # segments between near-singular passages; v_total is transported
     # over the whole window from the first seeding, for the ratio
-    v = np.zeros((n, 3))
-    v_total = np.zeros((n, 3))
+    v = np.zeros((3, n))
+    v_total = np.zeros((3, n))
     has_v = np.zeros(n, dtype=bool)
     has_total = np.zeros(n, dtype=bool)
-    carried = np.zeros((n_forward, n, 3))  # v after each step
+    carried = np.zeros((3, n_forward, n))  # v after each step
     held = np.zeros((n_forward, n), dtype=bool)  # has_v after each step
     for k in range(n_forward):
         seed = seedable[k] & ~has_v
-        v[seed] = unit[k, seed]
+        v[:, seed] = unit[:, k, seed]
         first = seed & ~has_total
-        v_total[first] = unit[k, first]
+        v_total[:, first] = unit[:, k, first]
         has_total |= first
         has_v = (has_v | seed) & far[k]
-        v[~has_v] = 0.0
-        v = np.einsum("nij,nj->ni", jac[k], v)
-        v_total = np.einsum("nij,nj->ni", jac[k], v_total)
-        carried[k] = v
+        v[:, ~has_v] = 0.0
+        v = _tangent_step(two_x[k], two_y[k], v)
+        v_total = _tangent_step(two_x[k], two_y[k], v_total)
+        carried[:, k] = v
         held[k] = has_v
-    # the vector carried through step k is checked at orbit[k + 1]
+    # the vector sample i carried through step k is checked at window
+    # point (k + 1) n + i, a far point, whose frame is the column of
+    # u_far and s_far at its rank in at
     check = held & far[1:]
     checked = check.any(axis=0)
-    pairs = check.reshape(-1)
-    later = slice(n, None)  # the flat rows of orbit[1:]
-    w = _project_tangent(carried.reshape(-1, 3)[pairs], flat[later][pairs])
-    coef_u, coef_s = _frame_coefficients(
-        e_u[later][pairs], e_s[later][pairs], w
-    )
-    cone_checks = len(w)
+    pairs = np.flatnonzero(check)
+    w = _project_tangent(carried.reshape(3, -1)[:, pairs],
+                         _window_points(seq, pairs + n))
+    rank = np.searchsorted(at, pairs + n)
+    coef_u, coef_s = _frame_coefficients(u_far[:, rank], s_far[:, rank], w)
+    cone_checks = len(pairs)
     cone_hits = int(np.count_nonzero(np.abs(coef_u) > np.abs(coef_s) / zeta))
-    g = np.linalg.norm(v_total, axis=-1)
+    g = np.sqrt(_dot(v_total, v_total))
     used = has_total & checked & np.isfinite(g) & (g != 0.0)
     ratios = g[used] / target
     return EmpiricalReport(

@@ -157,9 +157,9 @@ def test_the_slowest_map_exits_at_the_proved_step():
 
 
 def test_norms_past_the_float_range_of_squares_are_scored_as_unscaled():
-    # a power-of-two scale passes exactly through every push, so each
-    # pushed vector is the unscaled one times 2^400; from |w| ~ 1e154 on
-    # their squares overflow and the scaled norms take over
+    # a power-of-two scale passes exactly through every push, and each
+    # start vector is rescaled exactly before the first, so start vectors
+    # 2^400 times as long, whose squares overflow, give the same report
     m = certify.make_model_map(delta=1e-3, seed=7)
     P, V = _cone_batch(np.random.default_rng(22), 200)
     plain = certify.expansion_certificates(m, P, V)
@@ -171,15 +171,33 @@ def test_norms_past_the_float_range_of_squares_are_scored_as_unscaled():
 
 
 def test_a_pushed_vector_whose_components_overflow_raises():
-    # the plain start norm is finite (the cone check needs it); z keeps
-    # growing by lambda a step until the vector's z-component overflows
-    # at step 379, before the point exits at step ~400
+    # start vectors are scaled to a largest |component| in [1/2, 1), so
+    # only a growth past the float range overflows: at delta = 0 z and
+    # the vector's z-component both grow by lambda a step, and from the
+    # least subnormal z the component overflows at step 738, before the
+    # point exits at step ~774, whatever the start vector's scale
     m = certify.ModelMap(delta=0.0)
-    P = np.array([[0.0, 0.0, certify.LAMBDA_BIG**-400]])
-    V = np.array([[0.0, 0.0, 1e150]])
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="norm overflowed at step 379$"):
-            certify.expansion_certificates(m, P, V)
+    P = np.array([[0.0, 0.0, 5e-324]])
+    for v_z in (1.0, 1e150, 1e-300):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="norm overflowed at step 738$"):
+                certify.expansion_certificates(m, P, np.array([[0.0, 0.0, v_z]]))
+
+
+def test_start_vectors_whose_squares_underflow_are_certified():
+    # the start norm of [0, 0, 1e-300] underflowed to 0 before start
+    # vectors were scaled, and every growth was inf
+    m = certify.ModelMap(delta=1e-3)
+    tiny = certify.expansion_certificate(m, [0.0, 0.0, 0.5], [0.0, 0.0, 1e-300])
+    assert tiny == certify.expansion_certificate(m, [0.0, 0.0, 0.5], [0.0, 0.0, 1e-100])
+    assert tiny.exit_time == 1 and tiny.all_ok
+    # cone vectors 2^-830 as long: every square underflows, and the
+    # z-components, about 1e-46 before, stay normal
+    P, V = _cone_batch(np.random.default_rng(23), 50)
+    small = certify.expansion_certificates(m, P, V * 2.0**-830)
+    plain = certify.expansion_certificates(m, P, V)
+    for name, col in vars(plain).items():
+        assert np.array_equal(vars(small)[name], col), name
 
 
 def test_batch_with_one_invalid_row_raises():

@@ -8,16 +8,80 @@ from fibtrace import certify, empirical, torus
 from fibtrace.tracemap import (
     on_surface,
     singular_points,
+    trace_orbit,
     trace_step,
     trace_step_inv,
 )
+
+
+def trace_jacobian(p) -> np.ndarray:
+    """Differential of the trace map; a (..., 3) array gives (..., 3, 3).
+
+    The oracle the certificate's explicit tangent step is checked
+    against, through ``np.einsum("nij,nj->ni")``."""
+    p = np.asarray(p, dtype=float)
+    jac = np.zeros(p.shape + (3,))
+    jac[..., 0, 0] = 2.0 * p[..., 1]
+    jac[..., 0, 1] = 2.0 * p[..., 0]
+    jac[..., 0, 2] = -1.0
+    jac[..., 1, 0] = 1.0
+    jac[..., 2, 1] = 1.0
+    return jac
+
+
+# The certificate's helpers in their earlier row-major (..., 3) forms:
+# the oracles the coordinate-first helpers are checked against bit for
+# bit, and the arithmetic of the per-step reference engine below.
+
+def _eigenframe_distance_rows(p, inv_frame):
+    deltas = (p[:, None, :] - singular_points()).reshape(-1, 3) @ inv_frame.T
+    deltas *= deltas
+    r = np.sqrt(deltas[:, 0] + deltas[:, 1] + deltas[:, 2]).reshape(-1, 4)
+    return np.minimum(np.minimum(r[:, 0], r[:, 1]), np.minimum(r[:, 2], r[:, 3]))
+
+
+def _unstable_frame_rows(p):
+    t = torus.invert_semiconj(p)
+    jac = torus.df_semiconj(t)
+    return jac @ torus.V_U, jac @ torus.V_S
+
+
+def _project_tangent_rows(v, p):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    grad = np.stack(
+        [
+            2.0 * x - 2.0 * y * z,
+            2.0 * y - 2.0 * x * z,
+            2.0 * z - 2.0 * x * y,
+        ],
+        axis=-1,
+    )
+    g2 = np.sum(grad * grad, axis=-1)
+    flat = g2 < 1e-14
+    scale = np.sum(v * grad, axis=-1) / np.where(flat, 1.0, g2)
+    return v - np.where(flat, 0.0, scale)[..., None] * grad
+
+
+def _frame_coefficients_rows(e_u, e_s, w):
+    a = np.sum(e_u * e_u, axis=-1)
+    b = np.sum(e_u * e_s, axis=-1)
+    c = np.sum(e_s * e_s, axis=-1)
+    r_u = np.sum(e_u * w, axis=-1)
+    r_s = np.sum(e_s * w, axis=-1)
+    det = a * c - b * b
+    full = det > 0.0
+    trace = a + c
+    den = np.where(full, det, np.where(trace > 0.0, trace, 1.0))
+    coef_u = np.where(full, c * r_u - b * r_s, r_u) / den
+    coef_s = np.where(full, a * r_s - b * r_u, r_s) / den
+    return coef_u, coef_s
 
 
 def test_trace_jacobian_matches_finite_differences():
     rng = np.random.default_rng(14)
     h = 1e-7
     for p in rng.uniform(-2, 2, size=(20, 3)):
-        jac = empirical.trace_jacobian(p)
+        jac = trace_jacobian(p)
         for j in range(3):
             dp = np.zeros(3)
             dp[j] = h
@@ -298,13 +362,12 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
     checked = np.zeros(n, dtype=bool)
     cone_checks = cone_hits = reseeds = 0
     q = pts.copy()
-    far = empirical._eigenframe_distance(q, inv_frame) >= singular_radius
+    far = _eigenframe_distance_rows(q, inv_frame) >= singular_radius
     for _ in range(n_forward):
         seed = np.flatnonzero(far & ~has_v)
         if len(seed):
             q_seed = q[seed]
-            w0 = empirical._project_tangent(empirical._unstable_frame(q_seed)[0],
-                                            q_seed)
+            w0 = _project_tangent_rows(_unstable_frame_rows(q_seed)[0], q_seed)
             n0 = np.linalg.norm(w0, axis=-1)
             good = n0 > 1e-10
             seed = seed[good]
@@ -316,17 +379,16 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
             has_total[first] = True
         has_v &= far
         v[~has_v] = 0.0
-        jac = empirical.trace_jacobian(q)
+        jac = trace_jacobian(q)
         v = np.einsum("nij,nj->ni", jac, v)
         v_total = np.einsum("nij,nj->ni", jac, v_total)
         q = trace_step(q)
-        far = empirical._eigenframe_distance(q, inv_frame) >= singular_radius
+        far = _eigenframe_distance_rows(q, inv_frame) >= singular_radius
         check = np.flatnonzero(has_v & far)
         if len(check):
             q_check = q[check]
-            w = empirical._project_tangent(v[check], q_check)
-            coef_u, coef_s = empirical._frame_coefficients(
-                *empirical._unstable_frame(q_check), w)
+            w = _project_tangent_rows(v[check], q_check)
+            coef_u, coef_s = _frame_coefficients_rows(*_unstable_frame_rows(q_check), w)
             cone_checks += len(check)
             hit = np.abs(coef_u) > np.abs(coef_s) / zeta
             cone_hits += int(np.count_nonzero(hit))
@@ -391,7 +453,7 @@ def test_eigenframe_distance_matches_the_stacked_formulation():
     edge = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
     for p in (rng.uniform(-3.0, 3.0, (20000, 3)), edge, singular_points(),
               np.array([[0.3, -0.2, 0.9]]), np.empty((0, 3))):
-        got = empirical._eigenframe_distance(p, inv_frame)
+        got = empirical._eigenframe_distance(p.T, inv_frame)
         want = _eigenframe_distance_stacked(p, inv_frame)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -406,21 +468,109 @@ def test_frame_coefficients_match_lstsq():
     bases = np.array(bases)
     w = rng.normal(size=(len(bases), 3))
     with np.errstate(all="raise"):
-        cu, cs = empirical._frame_coefficients(bases[..., 0], bases[..., 1], w)
+        cu, cs = empirical._frame_coefficients(bases[..., 0].T, bases[..., 1].T, w.T)
     for i, basis in enumerate(bases):
         ref, *_ = np.linalg.lstsq(basis, w[i], rcond=None)
         assert np.allclose([cu[i], cs[i]], ref, rtol=1e-10, atol=1e-12)
 
 
 def test_batched_helpers_match_single_points():
+    # each column of a batch comes out as the helper gives it alone; the
+    # frame's product takes numpy's one-row path for a single column,
+    # which may round its last bit otherwise, so it is checked on pairs
     rng = np.random.default_rng(19)
-    pts = rng.uniform(-1, 1, size=(8, 3))
-    vecs = rng.normal(size=(8, 3))
-    jac = empirical.trace_jacobian(pts)
+    pts = rng.uniform(-1, 1, size=(3, 8))
+    vecs = rng.normal(size=(3, 8))
     proj = empirical._project_tangent(vecs, pts)
     e_u, e_s = empirical._unstable_frame(pts)
-    for i, p in enumerate(pts):
-        assert np.array_equal(jac[i], empirical.trace_jacobian(p))
-        assert np.allclose(proj[i], empirical._project_tangent(vecs[i], p))
-        u, s = empirical._unstable_frame(p)
-        assert np.allclose(e_u[i], u) and np.allclose(e_s[i], s)
+    step = empirical._tangent_step(2.0 * pts[0], 2.0 * pts[1], vecs)
+    for i in range(8):
+        col = slice(i, i + 1)
+        assert np.array_equal(proj[:, col],
+                              empirical._project_tangent(vecs[:, col], pts[:, col]))
+        u, s = empirical._unstable_frame(pts[:, col])
+        assert np.allclose(e_u[:, col], u) and np.allclose(e_s[:, col], s)
+        assert np.allclose(step[:, i], trace_jacobian(pts[:, i]) @ vecs[:, i])
+    for i in range(7):
+        pair = slice(i, i + 2)
+        u, s = empirical._unstable_frame(pts[:, pair])
+        assert np.array_equal(e_u[:, pair], u) and np.array_equal(e_s[:, pair], s)
+
+
+def _same_bits(got, want):
+    """Bit for bit, but for the sign of a zero.
+
+    The row forms start their sums at +0.0 (numpy's reductions and
+    stacked matmuls do), so where every term is -0.0 they return +0.0
+    and the explicit sums -0.0.  No result of the certificate reads the
+    sign of a zero: it goes through abs, squares and comparisons.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    both_zero = (got == 0.0) & (want == 0.0)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64)) | both_zero))
+
+
+def _helper_rows():
+    """(m, 3) points and vectors: orbit points of a certify window and
+    the edge rows.  The edges: y or z exactly +-1, where df_semiconj has
+    signed zeros and the frame has Gram determinant 0 at y = z = +-1;
+    the singular vertices and points 1e-9 from them, where the surface
+    gradient vanishes or has g^2 < 1e-14; zero vectors of either sign."""
+    pts = empirical.sample_bounded_points(0.05, 200, 30, rng=7)
+    seq = trace_orbit(pts[:, 2], pts[:, 1], pts[:, 0], 30)
+    orbit = np.stack([seq[2:].ravel(), seq[1:-1].ravel(), seq[:-2].ravel()], axis=-1)
+    on_one = np.array(list(itertools.product(
+        (-0.7, 0.0, 0.3, 1.0), (-1.0, 1.0, 0.4), (-1.0, 1.0, -0.2))))
+    vertex = singular_points()
+    near = np.concatenate([vertex + 1e-9, vertex - np.array([1e-9, -1e-9, 1e-9])])
+    p = np.concatenate([orbit, on_one, vertex, near])
+    v = np.random.default_rng(3).normal(size=p.shape)
+    v[-20:] = [-0.0, 0.0, -0.0]
+    v[-40:-20] = -0.0
+    return p, v
+
+
+def test_coordinate_first_helpers_match_the_row_forms():
+    p, v = _helper_rows()
+    q = np.ascontiguousarray(p.T)
+    inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
+    assert _same_bits(empirical._eigenframe_distance(q, inv_frame),
+                      _eigenframe_distance_rows(p, inv_frame))
+    e_u, e_s = empirical._unstable_frame(q)
+    r_u, r_s = _unstable_frame_rows(p)
+    assert _same_bits(e_u, r_u.T) and _same_bits(e_s, r_s.T)
+    x, y, z = q
+    g2 = ((2 * x - 2 * y * z) ** 2 + (2 * y - 2 * x * z) ** 2
+          + (2 * z - 2 * x * y) ** 2)
+    assert np.any(g2 == 0.0) and np.any((g2 > 0.0) & (g2 < 1e-14))
+    for w in (v, r_u):
+        assert _same_bits(empirical._project_tangent(w.T, q),
+                          _project_tangent_rows(w, p).T)
+    # frames of the points, and frames of Gram determinant 0: zero, and
+    # of rank 1 with exact powers of two
+    unit = np.array([0.5, -2.0, 0.25])
+    for b_u, b_s in ((r_u, r_s), (np.zeros_like(p), np.zeros_like(p)),
+                     (np.tile(unit, (len(p), 1)), np.tile(-2.0 * unit, (len(p), 1))),
+                     (np.tile(unit, (len(p), 1)), np.tile(unit, (len(p), 1)))):
+        got = empirical._frame_coefficients(b_u.T, b_s.T, v.T)
+        want = _frame_coefficients_rows(b_u, b_s, v)
+        assert _same_bits(got, want)
+    assert np.count_nonzero(
+        np.sum(r_u * r_u, -1) * np.sum(r_s * r_s, -1) - np.sum(r_u * r_s, -1) ** 2 == 0.0)
+
+
+def test_tangent_step_matches_einsum_on_trace_jacobian():
+    # if numpy changes the order in which einsum adds DT's terms, this
+    # fails here rather than as a shift in the certificate's output
+    p, v = _helper_rows()
+    want = np.einsum("nij,nj->ni", trace_jacobian(p), v)
+    got = empirical._tangent_step(2.0 * p[:, 0], 2.0 * p[:, 1], v.T)
+    assert _same_bits(got, want.T)
+    # nonzero vectors step to the same bits, zero signs included
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=p.shape) * np.exp(rng.uniform(-30, 30, size=p.shape))
+    want = np.einsum("nij,nj->ni", trace_jacobian(p), v)
+    got = empirical._tangent_step(2.0 * p[:, 0], 2.0 * p[:, 1], v.T)
+    assert np.array_equal(got.view(np.int64), want.T.view(np.int64))
