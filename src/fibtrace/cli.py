@@ -1,14 +1,14 @@
 """Command-line front end: reproducible runs driven by config files.
 
 Commands: spectrum, dimension, certify, mesh, subshift.  Parameters live
-in an INI-style config file (section [run]) and can be overridden with
-repeated ``--set key=value`` flags; ``--seed`` fixes all randomness so a
-rerun produces byte-identical output files, and a ``seed`` config key is
-refused.  ``FIELDS`` gives each command's fields (per ``dimension`` mode
-and ``certify`` kind) with type, default and bounds; other keys are
-refused.  Every output records the value every field resolved to, the
-seed and the toolkit version; spectral outputs also record the level
-their cover reached.
+in an INI-style config file, whose only section is [run], and can be
+overridden with repeated ``--set key=value`` flags; ``--seed`` fixes all
+randomness so a rerun produces byte-identical output files, and a
+``seed`` config key is refused.  ``FIELDS`` gives each command's fields
+(per ``dimension`` mode and ``certify`` kind) with type, default and
+bounds; other keys are refused.  Every output records the value every
+field resolved to, the seed and the toolkit version; spectral outputs
+also record the level their cover reached.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
 error, 3 runtime numeric failure or out of memory.
@@ -129,10 +129,18 @@ def _fmt(x) -> str:
 def _load_config(path: str | None, overrides: list[str]) -> dict:
     cfg: dict[str, str] = {}
     if path is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"config: cannot read {path!r}")
-        cfg = {key: val for sec in parser.sections() for key, val in parser.items(sec)}
+        # no header can name an empty section, so [DEFAULT] is a section
+        # like any other, and is refused like any other
+        parser = configparser.ConfigParser(default_section="")
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"config: cannot read {path!r}")
+            for sec in parser.sections():
+                if sec != "run":
+                    raise ConfigError(f"config: section [{sec}] is not [run]")
+            cfg = dict(parser.items("run")) if parser.has_section("run") else {}
+        except configparser.Error as exc:
+            raise ConfigError(f"config: {exc}") from None
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

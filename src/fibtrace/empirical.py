@@ -1,7 +1,8 @@
 """Empirical expansion certificate for the trace map at small coupling.
 
-Samples surface points whose orbits stay bounded in both time directions
-(a computable stand-in for the non-wandering set), equips them with
+Samples surface points over uniform random (x, y) nodes in the square
+(-1, 1)^2 whose orbits stay bounded in both time directions (a
+computable stand-in for the non-wandering set), equips them with
 unstable directions pulled over from the V=0 cone family through the
 torus semiconjugacy, and pushes those vectors through the differential
 of the trace map along orbit segments.  Reported are the worst expansion
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 
+#: the norm a sampled point's orbit stays within, both ways
+_NORM_CAP = 10.0
+#: the most candidate points one draw screens
+_MAX_CANDIDATES = 51_200
+
+
 def _bounded_rows(x, y, z, n_steps: int, norm_cap, backward: bool) -> np.ndarray:
     """Mask of the rows whose next ``n_steps`` points, forward or backward,
     have norm <= norm_cap (a number, or one cap per row), each norm
@@ -51,17 +58,6 @@ def _bounded_rows(x, y, z, n_steps: int, norm_cap, backward: bool) -> np.ndarray
     # T^(+-k)(p) is (s_k, s_{k+1}, s_{k+2}), reversed going forward
     x_sq, z_sq = (sq[1:-2], sq[3:]) if backward else (sq[3:], sq[1:-2])
     return np.all(np.sqrt(x_sq + sq[2:-1] + z_sq) <= norm_cap, axis=0)
-
-
-def _surface_candidates(coupling: float, grid: int, rng) -> tuple[np.ndarray, ...]:
-    """x, y, z columns of the points of both z-sheets of S_V over a
-    jittered (x, y) grid of grid x grid points in (-1, 1)^2: first the
-    upper sheet, then the lower one."""
-    u = np.linspace(-0.999, 0.999, grid)
-    xx, yy = np.meshgrid(u, u, indexing="ij")
-    xx = xx + rng.uniform(-0.5, 0.5, xx.shape) * (u[1] - u[0])
-    yy = yy + rng.uniform(-0.5, 0.5, yy.shape) * (u[1] - u[0])
-    return surface_points(coupling, xx, yy)
 
 
 def _off_vertices(x, y, z) -> np.ndarray:
@@ -77,52 +73,44 @@ def sample_bounded_points(
     coupling: float,
     n_samples: int,
     n_forward: int = 30,
-    norm_cap: float = 10.0,
-    grid: int = 160,
     rng=None,
 ) -> np.ndarray:
     """Surface points bounded for n_forward steps in both directions.
 
-    Candidates come from both z-sheets of the surface over a jittered
-    (x, y) grid in the square holding the bounded component.  They are
-    screened in a seeded random order (``rng.permutation``), and the
-    first ``n_samples`` that pass, in that order, are returned: a
-    uniform random n_samples-subset of all the candidates that pass, or
-    all of them when fewer pass.  The order is screened in chunks that
-    start at 2 n_samples rows and double, and the screen stops once
-    n_samples rows have passed; since each row passes or fails on its
-    own, the chunks do not change the result.  The singular vertices
-    themselves are excluded; everything else near them is handled
-    downstream by the singular-neighborhood radius.
+    Candidates are drawn in chunks.  A chunk of n nodes is drawn
+    uniformly in the square (-1, 1)^2 that holds the bounded component,
+    and each node gives the points of both z-sheets of the surface over
+    it: inside the square (x^2 - 1)(y^2 - 1) >= 0, so both are real.
+    One ``rng.permutation`` shuffles the chunk's 2n points, which are
+    then screened in that order.  The first chunk has n_samples nodes,
+    and chunks double until n_samples points have passed, or until
+    ``_MAX_CANDIDATES`` points have been screened; the first n_samples
+    that passed are returned, or all of them when fewer pass.  The
+    singular vertices themselves are excluded; everything else near
+    them is handled downstream by the singular-neighborhood radius.
 
-    Each candidate is screened forward, and each that passes backward,
-    by one ``tracemap.trace_orbit`` call per direction on the whole
-    chunk.  Its norms are summed as ``np.linalg.norm`` sums them, so the
-    points kept are those kept by stepping ``trace_step`` and
-    ``trace_step_inv`` row by row.  A row that escapes runs on to inf
-    or NaN and fails every later step.  An infinite norm_cap would keep
-    rows that reached infinity, so norm_cap must be finite.
+    A point passes if each of its next n_forward points, forward and
+    backward, has norm <= ``_NORM_CAP``.  Each chunk is screened forward,
+    and the points that pass backward, by one ``tracemap.trace_orbit``
+    call per direction.  Its norms are summed as ``np.linalg.norm`` sums
+    them, so the points kept are those kept by stepping ``trace_step``
+    and ``trace_step_inv`` row by row.  A row that escapes runs on to
+    inf or NaN and fails every later step.
     """
-    if not norm_cap < np.inf:
-        raise ValueError("norm_cap must be finite")
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     rng = np.random.default_rng(rng)
-    # built in a helper so that its grid-sized temporaries are freed
-    # before the screen allocates its buffers (peak memory)
-    x, y, z = _surface_candidates(coupling, grid, rng)
-    order = rng.permutation(len(x))
-    kept, found = [np.empty((0, 3))], 0
-    start, size = 0, 2 * n_samples
-    while found < n_samples and start < len(order):
-        rows = order[start:start + size]
-        pts = np.stack([x[rows], y[rows], z[rows]], axis=-1)
+    kept, found, screened, size = [np.empty((0, 3))], 0, 0, n_samples
+    while found < n_samples and screened < _MAX_CANDIDATES:
+        size = min(size, (_MAX_CANDIDATES - screened) // 2)
+        x, y, z = surface_points(coupling, *rng.uniform(-1.0, 1.0, (2, size)))
+        pts = np.stack([x, y, z], axis=-1)[rng.permutation(2 * size)]
         pts = pts[_off_vertices(*pts.T)]
-        pts = pts[_bounded_rows(*pts.T, n_forward, norm_cap, False)]
-        pts = pts[_bounded_rows(*pts.T, n_forward, norm_cap, True)]
+        pts = pts[_bounded_rows(*pts.T, n_forward, _NORM_CAP, False)]
+        pts = pts[_bounded_rows(*pts.T, n_forward, _NORM_CAP, True)]
         kept.append(pts)
         found += len(pts)
-        start += size
+        screened += 2 * size
         size *= 2
     return np.concatenate(kept)[:n_samples]
 
@@ -287,8 +275,7 @@ def empirical_trace_certificate(
     differential); the expansion ratio compares the final stretch with
     mu^(n(1-4 eps)).  The whole orbit window is computed up front and
     only the vector transport runs step by step (see ``_certify_points``).
-    The points are drawn by ``sample_bounded_points`` at its default
-    norm cap and grid.
+    The points are drawn by ``sample_bounded_points``.
     """
     if not 0.0 < coupling <= 0.5:
         raise ValueError("empirical certificate expects 0 < V <= 0.5")

@@ -144,8 +144,6 @@ def surface_points(coupling: float, x, y) -> tuple[np.ndarray, ...]:
     discriminant is >= 0.  The upper sheet's points come first, then the
     lower sheet's, each over those nodes in array order.
     """
-    # the order of these temporaries sets the bounded-point sampler's
-    # peak memory (test_sampler_peak_memory_is_pinned)
     disc = (x * x - 1.0) * (y * y - 1.0) + coupling * coupling / 4.0
     ok = disc >= 0.0
     root = np.sqrt(np.where(ok, disc, 0.0))

@@ -197,6 +197,26 @@ def test_missing_config_file_exits_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("ini, needle", [
+    # a later section must not override [run]
+    ("[run]\nn = 3\n[notes]\nn = 5\n", "section [notes]"),
+    # nor stand in for it
+    ("[setup]\nn = 3\n", "section [setup]"),
+    ("[DEFAULT]\nn = 3\n[run]\nn = 4\n", "section [DEFAULT]"),
+    ("n = 3\n", "no section headers"),
+    ("[run]\nn = 3\nn = 4\n", "option 'n' in section 'run' already exists"),
+], ids=["later-section", "other-section", "default-section", "no-header",
+        "duplicate-key"])
+def test_config_file_other_than_one_run_section_exits_2(tmp_path, ini, needle):
+    (tmp_path / "run.ini").write_text(ini)
+    r = run_cli("subshift", "--config", str(tmp_path / "run.ini"),
+                "--out", str(tmp_path / "s.json"))
+    assert r.returncode == 2
+    assert needle in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_certify_recurrence(tmp_path):
     out = tmp_path / "c.json"
     r = run_cli(

@@ -168,15 +168,13 @@ def test_every_public_function_has_a_caller(monkeypatch):
 
 
 #: defaulted parameters of public functions that no call in src/fibtrace
-#: or perfbench sets, kept on purpose; those of REFERENCE functions are
-#: all kept
+#: or perfbench's program modules sets, kept on purpose; those of
+#: REFERENCE functions are all kept
 UNSET_DEFAULTS = {
     ("certify", "expansion_certificate", "epsilon"):
         "passed on to expansion_certificates, where the tests' dip case sets it",
     ("certify", "expansion_certificate", "eta"):
         "passed on to expansion_certificates, where the tests' dip case sets it",
-    ("empirical", "sample_bounded_points", "norm_cap"): "ROADMAP item 8's sampler replaces it",
-    ("empirical", "sample_bounded_points", "grid"): "ROADMAP item 8's sampler replaces it",
 }
 
 
@@ -206,8 +204,11 @@ def _arguments_passed(paths):
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    # a default that no caller overrides is a knob that does nothing
-    passed = _arguments_passed(sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")))
+    # a default that no caller overrides is a knob that does nothing; the
+    # benchmark's own tests are not callers
+    program = [path for path in sorted(PERFBENCH.glob("*.py"))
+               if not path.name.startswith("test_")]
+    passed = _arguments_passed(sorted(PACKAGE.glob("*.py")) + program)
     unset = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
