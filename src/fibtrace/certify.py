@@ -156,27 +156,59 @@ class ModelMap:
     def linear(self) -> np.ndarray:
         return np.diag(_SCALE)
 
+    def _arguments(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The six wave arguments (a, a) + shifts of (3, ...) points p,
+        written into the (6, ...) buffer out and returned."""
+        np.add(p[0], p[1], out=out[0, ...])
+        np.subtract(p[0], p[1], out=out[1, ...])
+        out[2] = p[0]
+        out[3:] = out[:3]
+        out += _column(self._shifts, p.ndim)
+        return out
+
     def _waves(self, p: np.ndarray) -> np.ndarray:
         """Waves (sin a0, cos a1, sin a2), then slopes (cos a0, sin a1,
         cos a2), as one (6, ...) array: the sines of (a, a) + shifts,
         taken in place in the buffer that holds their arguments."""
-        args = np.empty((6,) + p.shape[1:])
-        np.add(p[0], p[1], out=args[0, ...])
-        np.subtract(p[0], p[1], out=args[1, ...])
-        args[2] = p[0]
-        args[3:] = args[:3]
-        args += _column(self._shifts, p.ndim)
+        args = self._arguments(p, np.empty((6,) + p.shape[1:]))
         return np.sin(args, out=args)
 
-    def _image(self, p: np.ndarray, waves: np.ndarray, sz: np.ndarray) -> np.ndarray:
-        """A p + ((delta/8) z) waves, given sz = (delta/8) z."""
-        image = p * _column(_SCALE, p.ndim)
-        image += sz * waves
-        return image
+    def _step(self, p: np.ndarray, v: np.ndarray, sines: np.ndarray,
+              out: np.ndarray) -> None:
+        """f(p) into out[:3] and Df(p) v into out[3:6], given the sines
+        ``_waves(p)`` of p's wave arguments.
+
+        out is a (10, ...) buffer that overlaps none of p, v and sines;
+        its rows 6 to 9 are scratch.  Df v = A v + (delta/8) (z slopes *
+        (G v) + waves v_z), where the rows of G, the gradients of the
+        wave arguments signed so that wave i's derivative is slope i
+        times row i, are (1, 1, 0), (-1, 1, 0) and (1, 0, 0).  The
+        products associate as ((delta/8) z) slopes (G v) and
+        ((delta/8) waves) v_z, and f(p) = A p + ((delta/8) z) waves.
+        """
+        waves, slopes = sines[:3], sines[3:]
+        image, pushed, term, sz = out[:3], out[3:6], out[6:9], out[9, ...]
+        s = self.delta / 8.0
+        np.multiply(s, p[2], out=sz)
+        # G v
+        np.add(v[0], v[1], out=term[0, ...])
+        np.subtract(v[1], v[0], out=term[1, ...])
+        term[2] = v[0]
+        np.multiply(sz, slopes, out=pushed)
+        pushed *= term
+        np.multiply(v, _column(_SCALE, v.ndim), out=term)
+        pushed += term
+        np.multiply(s, waves, out=term)
+        term *= v[2]
+        pushed += term
+        np.multiply(p, _column(_SCALE, p.ndim), out=image)
+        np.multiply(sz, waves, out=term)
+        image += term
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        return self._image(p, self._waves(p)[:3], (self.delta / 8.0) * p[2])
+        # f(p) is the first half of any push from p
+        return self.push(p, p)[0]
 
     def jacobian(self, p) -> np.ndarray:
         """Differential at p, shape (3, 3, ...): column j is Df(p) e_j."""
@@ -185,32 +217,13 @@ class ModelMap:
         return np.stack([self.push(p, e)[1] for e in basis], axis=1)
 
     def push(self, p, v) -> tuple[np.ndarray, np.ndarray]:
-        """f(p) and Df(p) v together, for (3, ...) points and vectors.
-
-        Df v = A v + (delta/8) (z slopes * (G v) + waves v_z), where the
-        rows of G, the gradients of the wave arguments signed so that
-        wave i's derivative is slope i times row i, are (1, 1, 0),
-        (-1, 1, 0) and (1, 0, 0).  The products associate as
-        ((delta/8) z) slopes (G v) and ((delta/8) waves) v_z.
-        """
+        """f(p) and Df(p) v together, for (3, ...) points and vectors of
+        one shape (see ``_step``)."""
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        sines = self._waves(p)
-        waves, slopes = sines[:3], sines[3:]
-        s = self.delta / 8.0
-        sz = s * p[2]
-        gv = np.empty_like(v)
-        np.add(v[0], v[1], out=gv[0, ...])
-        np.subtract(v[1], v[0], out=gv[1, ...])
-        gv[2] = v[0]
-        term = sz * slopes
-        term *= gv
-        pushed = v * _column(_SCALE, v.ndim)
-        pushed += term
-        np.multiply(s, waves, out=term)
-        term *= v[2]
-        pushed += term
-        return self._image(p, waves, sz), pushed
+        out = np.empty((10,) + p.shape[1:])
+        self._step(p, v, self._waves(p), out)
+        return out[:3], out[3:6]
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
@@ -281,14 +294,19 @@ def expansion_certificates(
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
     every intermediate step.  Only rows that have not exited are
     stepped, held coordinate first as (3, n) columns, until the last one
-    exits.  Each start vector is first scaled by the exact power of two
-    that brings its largest |component| into [1/2, 1), as
-    ``cone_member_3d`` scales it, so that its norm cannot underflow; a
-    unit vector is scaled by 1 or 1/2.  Norms whose squares overflow
-    are taken scaled by the row's largest |component| (``_norms``); a
-    pushed vector whose growth is still not finite, as when its
-    components overflow, raises ValueError.  Returns one report whose
-    fields hold every row.
+    exits.  Each step is ``ModelMap._step`` into preallocated buffers,
+    and it takes the sines of the six wave arguments only when these
+    differ bitwise from the last step's; otherwise it reuses the last
+    sines, which are the same bits.  Far below z = 1 most steps reuse
+    them: x has shrunk below half an ulp of y and of the phases, and
+    (delta/8) z below half an ulp of y.  Each start vector is first
+    scaled by the exact power of two that brings its largest
+    |component| into [1/2, 1), as ``cone_member_3d`` scales it, so that
+    its norm cannot underflow; a unit vector is scaled by 1 or 1/2.
+    Norms whose squares overflow are taken scaled by the row's largest
+    |component| (``_norms``); a pushed vector whose growth is still not
+    finite, as when its components overflow, raises ValueError.  Returns
+    one report whose fields hold every row.
 
     Every row exits or raises.  The z-row z (lambda + (delta/8) sin a2)
     with 0 <= delta <= 2 gives z_{k+1} >= (lambda - 1/4) z_k, whatever
@@ -322,19 +340,29 @@ def expansion_certificates(
     w_exit = np.zeros((3, n))
     grew = np.zeros(n, dtype=bool)  # growth at exit met the bound
     dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
-    # the rows still stepping, and their points, vectors, starting
-    # norms and dips, compacted as rows exit
+    # the rows still stepping, their starting norms and dips, and in
+    # cols their points and vectors (rows 0-5), the wave arguments of
+    # their last step (6-11) and the sines of those (12-17), all
+    # compacted as rows exit; sin 0 = 0, so the sines are those of the
+    # arguments from the start
     active = np.arange(n)
-    q, w = P.T, V.T
     dip = np.zeros(n, dtype=bool)
+    cols = np.zeros((18, n))
+    cols[:3], cols[3:6] = P.T, V.T
+    args, out = np.empty((6, n)), np.empty((10, n))
     # overflow shows as a growth that is not finite, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        v_xy0 = _norms(w[:2])
-        v0_norm = _norms(w)
+        v_xy0 = _norms(cols[3:5])
+        v0_norm = _norms(cols[3:6])
         k = 0
         while len(active):
             k += 1
-            q, w = m.push(q, w)
+            q, w, last, sines = cols[:3], cols[3:6], cols[6:12], cols[12:]
+            if m._arguments(q, args).tobytes() != last.tobytes():
+                last[...] = args
+                np.sin(args, out=sines)
+            m._step(q, w, sines, out)
+            cols[:6] = out[:6]
             g = np.sqrt(_sum_squares(w)) / v0_norm
             if not np.isfinite(g).all():
                 g = _norms(w) / v0_norm
@@ -342,16 +370,17 @@ def expansion_certificates(
                     raise ValueError(f"pushed vector norm overflowed at step {k}")
             bound = rate**k
             dip |= g < 0.5 * eta * bound
-            out = q[2] > 1.0
-            if out.any():
-                done = active[out]
+            exited = q[2] > 1.0
+            if exited.any():
+                done = active[exited]
                 exit_time[done] = k
-                w_exit[:, done] = w[:, out]
-                grew[done] = g[out] >= bound
-                dipped[done] = dip[out]
-                keep = ~out
-                active, q, w = active[keep], q[:, keep], w[:, keep]
+                w_exit[:, done] = w[:, exited]
+                grew[done] = g[exited] >= bound
+                dipped[done] = dip[exited]
+                keep = ~exited
+                active, cols = active[keep], cols[:, keep]
                 v0_norm, dip = v0_norm[keep], dip[keep]
+                args, out = args[:, keep], out[:, keep]
         u_xy = _norms(w_exit[:2])
     u_z = np.abs(w_exit[2])
     if m.delta > 0.0:

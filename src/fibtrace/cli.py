@@ -1,14 +1,14 @@
 """Command-line front end: reproducible runs driven by config files.
 
 Commands: spectrum, dimension, certify, mesh, subshift.  Parameters live
-in an INI-style config file, whose only section is [run], and can be
-overridden with repeated ``--set key=value`` flags; ``--seed`` fixes all
-randomness so a rerun produces byte-identical output files, and a
-``seed`` config key is refused.  ``FIELDS`` gives each command's fields
-(per ``dimension`` mode and ``certify`` kind) with type, default and
-bounds; other keys are refused.  Every output records the value every
-field resolved to, the seed and the toolkit version; spectral outputs
-also record the level their cover reached.
+in an INI-style config file of UTF-8 text, whose only section is [run],
+and can be overridden with repeated ``--set key=value`` flags;
+``--seed`` fixes all randomness so a rerun produces byte-identical
+output files, and a ``seed`` config key is refused.  ``FIELDS`` gives
+each command's fields (per ``dimension`` mode and ``certify`` kind) with
+type, default and bounds; other keys are refused.  Every output records
+the value every field resolved to, the seed and the toolkit version;
+spectral outputs also record the level their cover reached.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
 error, 3 runtime numeric failure or out of memory.
@@ -133,7 +133,7 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         # like any other, and is refused like any other
         parser = configparser.ConfigParser(default_section="")
         try:
-            if not parser.read(path):
+            if not parser.read(path, encoding="utf-8"):
                 raise ConfigError(f"config: cannot read {path!r}")
             for sec in parser.sections():
                 if sec != "run":
@@ -141,6 +141,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             cfg = dict(parser.items("run")) if parser.has_section("run") else {}
         except configparser.Error as exc:
             raise ConfigError(f"config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: {path!r} is not UTF-8 text: {exc}") from None
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

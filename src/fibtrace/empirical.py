@@ -115,8 +115,9 @@ def sample_bounded_points(
     return np.concatenate(kept)[:n_samples]
 
 
-#: the torus eigen-directions as rows (V_U, V_S)
-_TORUS_FRAME = np.array([torus.V_U, torus.V_S])
+#: the torus eigen-directions as the rows (V_U, V_S), scaled by the
+#: factor -2 pi that the semiconjugacy's Jacobian carries
+_TORUS_FRAME = -2.0 * np.pi * np.array([torus.V_U, torus.V_S])
 #: offsets, in rows of a trace_orbit array, of a window point's x, y, z
 _LAGS = np.array([[2], [1], [0]])
 
@@ -131,22 +132,42 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _unstable_frame(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pushed-forward unstable/stable directions at the V=0 shadows of q.
 
-    Takes (3, m) points and returns two (3, m) direction arrays: DF V_U
-    and DF V_S, DF the semiconjugacy's Jacobian at the preimage
-    ``torus.invert_semiconj`` picks.  DF's first row is (f, f), so its
-    entries come from one (m, 2) @ (2, 2) product, whose columns are
-    ordered so that BLAS dgemm rounds as the stacked matmul DF @ V_U
-    did; its other rows hold one nonzero entry each, (g, 0) and (0, h),
-    and give plain products.  At m = 1 numpy takes the product by gemv,
-    which may round the first row's last bit otherwise; the certificate
-    checks nothing in a window with one far point, so that frame never
-    reaches its output.
+    Takes (3, m) points and returns two (3, m) direction arrays, DF V_U
+    and DF V_S.  DF is the Jacobian of the semiconjugacy F(theta, phi) =
+    (cos 2pi(theta + phi), cos 2pi theta, cos 2pi phi) at a preimage of
+    the shadow (x, Y, Z), Y and Z the point's y and z clipped into
+    [-1, 1].  DF = -2pi [[S, S], [s_theta, 0], [0, s_phi]] with S =
+    sin 2pi(theta + phi), s_theta = sin 2pi theta and s_phi =
+    sin 2pi phi, and the shadow fixes these three sines without any
+    angle being taken:
+
+    - cos 2pi theta = Y, so s_theta = +-sqrt((1 - Y)(1 + Y)), and
+      s_phi = +-sqrt((1 - Z)(1 + Z)) likewise;
+    - cos 2pi(theta + phi) = Y Z - s_theta s_phi, and
+      S = s_theta Z + Y s_phi.
+
+    Of the four sign choices, (theta, phi) and (-theta, -phi) give the
+    same cosine and negate DF, and with it the frame.  Every use of the
+    frame is blind to its sign, so s_theta >= 0 is taken, and s_phi
+    takes the sign whose cosine, Y Z - s_theta s_phi, is nearer x, the
+    plus root on a tie.  That is the preimage ``torus.invert_semiconj``
+    picks, up to the negation and the rounding of its arccos.  Where Y
+    and Z both lie at +-1, as at a shadow clipped to a vertex of the
+    square, all three sines and the frame are exactly 0.
     """
-    jac = torus.df_semiconj(torus.invert_semiconj(q.T))
+    y = np.clip(q[1], -1.0, 1.0)
+    z = np.clip(q[2], -1.0, 1.0)
+    s_th = np.sqrt((1.0 - y) * (1.0 + y))
+    s_ph = np.sqrt((1.0 - z) * (1.0 + z))
+    yz = y * z
+    both = s_th * s_ph
+    flip = np.abs(yz + both - q[0]) < np.abs(yz - both - q[0])
+    np.negative(s_ph, out=s_ph, where=flip)
+    s_sum = s_th * z + y * s_ph
     frame = np.empty((2,) + q.shape)
-    frame[:, 0] = (jac[:, 0] @ _TORUS_FRAME[:, ::-1].T).T
-    frame[:, 1] = _TORUS_FRAME[:, :1] * jac[:, 1, 0]
-    frame[:, 2] = _TORUS_FRAME[:, 1:] * jac[:, 2, 1]
+    np.multiply(_TORUS_FRAME[:, :1] + _TORUS_FRAME[:, 1:], s_sum, out=frame[:, 0])
+    np.multiply(_TORUS_FRAME[:, :1], s_th, out=frame[:, 1])
+    np.multiply(_TORUS_FRAME[:, 1:], s_ph, out=frame[:, 2])
     return frame[0], frame[1]
 
 

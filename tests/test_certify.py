@@ -385,11 +385,29 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5):
     )
 
 
-@pytest.mark.parametrize("n0", [200, 600, 696])
+@pytest.mark.parametrize("n0, fresh", [(1, True), (200, False)])
+def test_model_steps_take_sines_only_of_changed_arguments(monkeypatch, n0, fresh):
+    # the sines are taken once per step whose wave arguments differ from
+    # the last step's; far below z = 1 most steps leave them unchanged
+    m = certify.make_model_map(delta=1e-3, seed=3)
+    P, V = _cone_batch(np.random.default_rng(103), 400, n0)
+    calls = []
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda *a, **kw: calls.append(1) or sin(*a, **kw))
+    steps = certify.expansion_certificates(m, P, V).exit_time.max()
+    if fresh:
+        assert len(calls) == steps
+    else:
+        assert len(calls) < steps / 2
+
+
+@pytest.mark.parametrize("n0", [1, 200, 600, 696])
 @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-2, 0.5, 2.0])
 def test_column_certificates_match_the_row_engine(delta, n0):
     # from n0 ~ 672 on the squares of the pushed norms overflow, so 696
-    # also takes the scaled norms
+    # also takes the scaled norms; from n0 = 1 no step repeats its wave
+    # arguments, so every sine is taken afresh, while from n0 = 200 on
+    # most steps reuse the last step's sines
     for seed in range(5):
         m = certify.make_model_map(delta=delta, seed=seed)
         P, V = _cone_batch(np.random.default_rng(100 + seed), 400, n0)

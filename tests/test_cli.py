@@ -205,11 +205,17 @@ def test_missing_config_file_exits_2(tmp_path):
     ("[DEFAULT]\nn = 3\n[run]\nn = 4\n", "section [DEFAULT]"),
     ("n = 3\n", "no section headers"),
     ("[run]\nn = 3\nn = 4\n", "option 'n' in section 'run' already exists"),
+    # a file that is not UTF-8 text
+    (b"[run]\nn = \xff\n", "is not UTF-8 text"),
 ], ids=["later-section", "other-section", "default-section", "no-header",
-        "duplicate-key"])
+        "duplicate-key", "not-utf-8"])
 def test_config_file_other_than_one_run_section_exits_2(tmp_path, ini, needle):
-    (tmp_path / "run.ini").write_text(ini)
-    r = run_cli("subshift", "--config", str(tmp_path / "run.ini"),
+    path = tmp_path / "run.ini"
+    if isinstance(ini, bytes):
+        path.write_bytes(ini)
+    else:
+        path.write_text(ini)
+    r = run_cli("subshift", "--config", str(path),
                 "--out", str(tmp_path / "s.json"))
     assert r.returncode == 2
     assert needle in r.stderr

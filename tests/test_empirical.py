@@ -41,8 +41,25 @@ def _eigenframe_distance_rows(p, inv_frame):
 
 
 def _unstable_frame_rows(p):
-    t = torus.invert_semiconj(p)
-    jac = torus.df_semiconj(t)
+    y = np.clip(p[..., 1], -1.0, 1.0)
+    z = np.clip(p[..., 2], -1.0, 1.0)
+    s_th = np.sqrt((1.0 - y) * (1.0 + y))
+    s_ph = np.sqrt((1.0 - z) * (1.0 + z))
+    yz = y * z
+    both = s_th * s_ph
+    flip = np.abs(yz + both - p[..., 0]) < np.abs(yz - both - p[..., 0])
+    s_ph = np.where(flip, -s_ph, s_ph)
+    s_sum = s_th * z + y * s_ph
+    u, s = -2.0 * np.pi * torus.V_U, -2.0 * np.pi * torus.V_S
+    return tuple(np.stack([(e[0] + e[1]) * s_sum, e[0] * s_th, e[1] * s_ph], axis=-1)
+                 for e in (u, s))
+
+
+def _torus_frame_rows(p):
+    """The frame as the torus layer gives it: the Jacobian of the
+    semiconjugacy at the preimage ``invert_semiconj`` picks, applied to
+    V_U and V_S."""
+    jac = torus.df_semiconj(torus.invert_semiconj(p))
     return jac @ torus.V_U, jac @ torus.V_S
 
 
@@ -506,9 +523,7 @@ def test_frame_coefficients_match_lstsq():
 
 
 def test_batched_helpers_match_single_points():
-    # each column of a batch comes out as the helper gives it alone; the
-    # frame's product takes numpy's one-row path for a single column,
-    # which may round its last bit otherwise, so it is checked on pairs
+    # each column of a batch comes out as the helper gives it alone
     rng = np.random.default_rng(19)
     pts = rng.uniform(-1, 1, size=(3, 8))
     vecs = rng.normal(size=(3, 8))
@@ -520,12 +535,8 @@ def test_batched_helpers_match_single_points():
         assert np.array_equal(proj[:, col],
                               empirical._project_tangent(vecs[:, col], pts[:, col]))
         u, s = empirical._unstable_frame(pts[:, col])
-        assert np.allclose(e_u[:, col], u) and np.allclose(e_s[:, col], s)
+        assert np.array_equal(e_u[:, col], u) and np.array_equal(e_s[:, col], s)
         assert np.allclose(step[:, i], trace_jacobian(pts[:, i]) @ vecs[:, i])
-    for i in range(7):
-        pair = slice(i, i + 2)
-        u, s = empirical._unstable_frame(pts[:, pair])
-        assert np.array_equal(e_u[:, pair], u) and np.array_equal(e_s[:, pair], s)
 
 
 def _same_bits(got, want):
@@ -590,6 +601,46 @@ def test_coordinate_first_helpers_match_the_row_forms():
         assert _same_bits(got, want)
     assert np.count_nonzero(
         np.sum(r_u * r_u, -1) * np.sum(r_s * r_s, -1) - np.sum(r_u * r_s, -1) ** 2 == 0.0)
+
+
+def test_closed_form_frame_matches_the_torus_oracle():
+    # Y and Z (y and z clipped into [-1, 1]) enter both forms exactly, so
+    # arccos's slope -1/sqrt(1 - Y^2), unbounded at +-1, amplifies no
+    # error of its input; the oracle errs only by rounding its angles.
+    # arccos, the scaling to turns, 1 - t, the sum theta + phi (at most
+    # 2 turns) and the scaling back to at most 4 pi radians each round
+    # within half an ulp of their result, under 5e-15 rad in all, and a
+    # sine has slope at most 1; the closed form's sines err by a few
+    # ulp of 1.  Each frame entry is a sine times at most
+    # 2 pi (|V[0]| + |V[1]|) < 9, so the frames agree up to sign within
+    # 9 * 6e-15 plus the oracle's own product rounding: 1e-13.
+    tol = 1e-13
+    windows = []
+    for i, coupling in enumerate((0.02, 0.3, 0.5)):
+        pts = empirical.sample_bounded_points(coupling, 100, 30, rng=40 + i)
+        seq = trace_orbit(pts[:, 2], pts[:, 1], pts[:, 0], 30)
+        windows.append(np.stack([seq[2:].ravel(), seq[1:-1].ravel(),
+                                 seq[:-2].ravel()], axis=-1))
+    # y or z exactly +-1, the singular points, and shadows clipped to a
+    # vertex of the square
+    on_one = np.array(list(itertools.product(
+        (-0.7, 0.0, 0.3, 1.0), (-1.0, 1.0, 0.4), (-1.0, 1.0, -0.2))))
+    outside = np.array(list(itertools.product(
+        (-2.5, 0.3, 2.0), (-1.5, -1.0, 1.0, 1.2), (-3.0, -1.0, 1.0, 1.01))))
+    p = np.concatenate(windows + [on_one, singular_points(), outside])
+    e_u, e_s = empirical._unstable_frame(np.ascontiguousarray(p.T))
+    r_u, r_s = _torus_frame_rows(p)
+    got = np.concatenate([e_u.T, e_s.T], axis=-1)
+    want = np.concatenate([r_u, r_s], axis=-1)
+    # one sign per point, for both directions
+    off = np.minimum(np.abs(got - want).max(axis=-1), np.abs(got + want).max(axis=-1))
+    assert off.max() <= tol
+    vertex = (np.abs(p[:, 1]) >= 1.0) & (np.abs(p[:, 2]) >= 1.0)
+    assert np.all(got[vertex] == 0.0)
+    # the windows reach vertex shadows, and the oracle leaves rounding
+    # noise at some of them
+    assert np.any(vertex[:sum(map(len, windows))])
+    assert np.any(want[vertex] != 0.0)
 
 
 def test_tangent_step_matches_einsum_on_trace_jacobian():
