@@ -11,8 +11,8 @@ Modules:
 - ``torus``: the hyperbolic torus automorphism factor and the
   semiconjugacy onto the zero-coupling surface
 - ``subshift``: the 6-symbol Markov coding of the bounded dynamics
-- ``spectrum``: transfer matrices, half-traces, and band covers of the
-  quasiperiodic spectrum
+- ``spectrum``: half-traces and band covers of the quasiperiodic
+  spectrum
 - ``boxdim``: box-counting dimension estimation for band sets
 - ``recurrences``: the coupled recurrence inequalities behind the
   near-singularity expansion bound
@@ -28,13 +28,10 @@ __version__ = "0.1.0"
 from .intervals import BandSet, merge_intervals
 from .tracemap import (
     fricke,
-    on_surface,
     per2_point,
-    singular_orbit,
     singular_points,
     trace_orbit,
     trace_step,
-    trace_step_inv,
 )
 
 __all__ = [
@@ -42,11 +39,8 @@ __all__ = [
     "__version__",
     "fricke",
     "merge_intervals",
-    "on_surface",
     "per2_point",
-    "singular_orbit",
     "singular_points",
     "trace_orbit",
     "trace_step",
-    "trace_step_inv",
 ]

@@ -102,6 +102,13 @@ def box_dimension(b: BandSet, eps_grid) -> DimensionEstimate:
     scales, and stay a factor 4 above the band set's narrowest interval;
     below that the finite approximation dominates and the slope drifts
     toward 1.
+
+    The scales are counted from fine to coarse, each on the set counted
+    at the scale before with every gap of width <= eps/2 closed
+    (``BandSet.close_gaps``).  A gap narrower than eps holds no whole
+    grid box, so every box that meets it also meets a band beside it and
+    N(eps) is unchanged, while at coarse scales the closed set has about
+    N(eps) bands instead of all of them.
     """
     eps = sorted(float(e) for e in eps_grid)
     bad = [e for e in eps if not 0 < e < math.inf]

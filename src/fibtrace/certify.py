@@ -11,8 +11,8 @@ predicted cone expansion quantitatively: vectors in the cone
 must grow by at least lambda^((N/2)(1-4 eps)) by the time the orbit's
 z-coordinate exits past 1, and end up within a sqrt(delta)-thin cone
 around the z-axis.  The constants are fixed: lambda = LAMBDA_BIG, the
-bound C1 on the second derivatives is 1 and the cone constant C2 is 1,
-so a model map takes only 0 <= delta <= 2.
+bound C1 on the second derivatives is 1, the cone constant C2 is 1,
+eps = 0.1 and eta = 1/2, so a model map takes only 0 <= delta <= 2.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 LAMBDA_BIG = (3.0 + np.sqrt(5.0)) / 2.0
+#: eps of the growth bound lambda^((N/2)(1-4 eps)), and eta, the cone
+#: |v_z| >= eta |v_xy| of starts held to it at every step
+_EPSILON = 0.1
+_ETA = 0.5
 
 DT_SINGULAR = np.array(
     [
@@ -279,13 +283,7 @@ def sample_cone_vectors_3d(z_p, rng=None) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def expansion_certificates(
-    m: ModelMap,
-    P,
-    V,
-    epsilon: float = 0.1,
-    eta: float = 0.5,
-) -> ExpansionReport:
+def expansion_certificates(m: ModelMap, P, V) -> ExpansionReport:
     """Push cone vectors V at points P to their exit times, all together.
 
     Row i's N is the first iterate whose z-coordinate exceeds 1.  Checks,
@@ -335,7 +333,7 @@ def expansion_certificates(
     # a ratio of norms of one row, which the scaling leaves unchanged
     V = np.ldexp(V, -np.frexp(np.max(np.abs(V), axis=1))[1][:, None])
     n = len(P)
-    rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * epsilon))
+    rate = LAMBDA_BIG ** (0.5 * (1.0 - 4.0 * _EPSILON))
     exit_time = np.zeros(n, dtype=int)
     w_exit = np.zeros((3, n))
     grew = np.zeros(n, dtype=bool)  # growth at exit met the bound
@@ -363,13 +361,11 @@ def expansion_certificates(
                 np.sin(args, out=sines)
             m._step(q, w, sines, out)
             cols[:6] = out[:6]
-            g = np.sqrt(_sum_squares(w)) / v0_norm
+            g = _norms(w) / v0_norm
             if not np.isfinite(g).all():
-                g = _norms(w) / v0_norm
-                if not np.isfinite(g).all():
-                    raise ValueError(f"pushed vector norm overflowed at step {k}")
+                raise ValueError(f"pushed vector norm overflowed at step {k}")
             bound = rate**k
-            dip |= g < 0.5 * eta * bound
+            dip |= g < 0.5 * _ETA * bound
             exited = q[2] > 1.0
             if exited.any():
                 done = active[exited]
@@ -387,7 +383,7 @@ def expansion_certificates(
         thin = u_xy < 2.0 * np.sqrt(m.delta) * u_z
     else:  # delta = 0: the xy-part cannot have grown at all
         thin = u_xy <= v_xy0 * (1.0 + 1e-12)
-    eta_start = np.abs(V[:, 2]) >= eta * v_xy0
+    eta_start = np.abs(V[:, 2]) >= _ETA * v_xy0
     return ExpansionReport(
         exit_time=exit_time,
         expansion_at_exit_ok=grew,
@@ -396,18 +392,12 @@ def expansion_certificates(
     )
 
 
-def expansion_certificate(
-    m: ModelMap,
-    p,
-    v,
-    epsilon: float = 0.1,
-    eta: float = 0.5,
-) -> ExpansionReport:
+def expansion_certificate(m: ModelMap, p, v) -> ExpansionReport:
     """One start point and cone vector; see ``expansion_certificates``.
 
     The report's fields are the one row's Python scalars.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    rep = expansion_certificates(m, p[None, :], v[None, :], epsilon, eta)
+    rep = expansion_certificates(m, p[None, :], v[None, :])
     return ExpansionReport(*(row.item() for row in vars(rep).values()))

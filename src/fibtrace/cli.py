@@ -227,12 +227,11 @@ def _write_csv(path: str, header: str, rows) -> None:
 def cmd_spectrum(p: dict, out: str, seed: int | None) -> dict:
     cover = spectrum.spectrum_cover(p["coupling"], p["k"], p["resolution"])
     edges = [(_fmt(lo), _fmt(hi)) for lo, hi in cover.intervals.tolist()]
-    gen = cover.generation
-    _write_csv(out + ".csv", "lo,hi,generation", [(*e, str(gen)) for e in edges])
+    _write_csv(out + ".csv", "lo,hi", edges)
     return {
-        "bands": [{"lo": lo, "hi": hi, "generation": gen} for lo, hi in edges],
+        "bands": [{"lo": lo, "hi": hi} for lo, hi in edges],
         "band_count": len(cover),
-        "level": gen,
+        "level": cover.generation,
         "measure": _fmt(cover.measure),
     }
 
@@ -309,6 +308,7 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
     return {"report": {
         "kind": "empirical", "coupling": _fmt(p["coupling"]),
         "samples": rep.samples_total, "cone_checks": rep.cone_checks,
+        "cone_undecided": rep.cone_undecided,
         **{name: _fmt(getattr(rep, name)) for name in rates},
     }}
 

@@ -8,6 +8,8 @@ torus semiconjugacy, and pushes those vectors through the differential
 of the trace map along orbit segments.  Reported are the worst expansion
 ratio against mu^(n(1-4 eps)) and the fraction of steps, away from the
 singular points, where the vector stayed inside the unstable cone.
+A step whose V=0 shadow is a vertex of the square, where the cone field
+vanishes, is counted apart as undecided.
 
 The certificate works on the whole orbit window at once: one
 ``trace_orbit`` call gives every sample's n + 1 orbit points, and the
@@ -94,8 +96,8 @@ def sample_bounded_points(
     and the points that pass backward, by one ``tracemap.trace_orbit``
     call per direction.  Its norms are summed as ``np.linalg.norm`` sums
     them, so the points kept are those kept by stepping ``trace_step``
-    and ``trace_step_inv`` row by row.  A row that escapes runs on to
-    inf or NaN and fails every later step.
+    and the inverse step (y, z, 2yz - x) row by row.  A row that escapes
+    runs on to inf or NaN and fails every later step.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -244,6 +246,7 @@ class EmpiricalReport:
     min_expansion_ratio: float
     cone_checks: int
     cone_hits: int
+    cone_undecided: int  # checks at a vertex shadow, in neither count
     singular_radius: float
     per_sample_ratios: np.ndarray = field(repr=False)
 
@@ -391,8 +394,13 @@ def _certify_points(
     w = _project_tangent(carried.reshape(3, -1)[:, pairs],
                          _window_points(seq, pairs + n))
     rank = np.searchsorted(at, pairs + n)
-    coef_u, coef_s = _frame_coefficients(u_far[:, rank], s_far[:, rank], w)
-    cone_checks = len(pairs)
+    u_check = u_far[:, rank]
+    coef_u, coef_s = _frame_coefficients(u_check, s_far[:, rank], w)
+    # at a vertex shadow the frame is exactly 0 and tests no cone: such a
+    # check is undecided, and its coefficients, 0 and 0, are no hit.  The
+    # frame is 0 where its rows 1 and 2, multiples of the two sines, are
+    undecided = int(np.count_nonzero((u_check[1] == 0.0) & (u_check[2] == 0.0)))
+    cone_checks = len(pairs) - undecided
     cone_hits = int(np.count_nonzero(np.abs(coef_u) > np.abs(coef_s) / zeta))
     g = np.sqrt(_dot(v_total, v_total))
     used = has_total & checked & np.isfinite(g) & (g != 0.0)
@@ -404,6 +412,7 @@ def _certify_points(
         min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
         cone_checks=cone_checks,
         cone_hits=cone_hits,
+        cone_undecided=undecided,
         singular_radius=singular_radius,
         per_sample_ratios=ratios,
     )

@@ -98,10 +98,6 @@ class BandSet:
             raise ValueError("empty band set has no extent")
         return float(self.intervals[0, 0]), float(self.intervals[-1, 1])
 
-    def contains(self, e: float, slack: float = 0.0) -> bool:
-        lo, hi = self.intervals.T
-        return bool(np.any((lo - slack <= e) & (e <= hi + slack)))
-
     def union(self, other: "BandSet") -> "BandSet":
         # the merged array is sorted and disjoint, so it is set directly, not
         # merged again by __post_init__; generation keeps its default

@@ -64,42 +64,41 @@ class RecurrenceRun:
     n: int
     small: np.ndarray
     large: np.ndarray
-    heights: np.ndarray
-    tail_bound_ok: bool | np.ndarray = False      # small_N <= 2 sqrt(delta) large_N
-    growth_bound_ok: bool | np.ndarray = False    # large_N >= large_0 lam^(N(1-eps))
-    stepwise_growth_ok: bool | np.ndarray = False  # large_{k+1} >= lam^(1-eps) large_k
-    stepwise_small_ok: bool | np.ndarray = False
-    dichotomy_ok: bool | np.ndarray = False
+    tail_bound_ok: bool | np.ndarray      # small_N <= 2 sqrt(delta) large_N
+    growth_bound_ok: bool | np.ndarray    # large_N >= large_0 lam^(N(1-eps))
+    stepwise_growth_ok: bool | np.ndarray  # large_{k+1} >= lam^(1-eps) large_k
+    stepwise_small_ok: bool | np.ndarray
+    dichotomy_ok: bool | np.ndarray
 
     @property
     def passed(self) -> bool | np.ndarray:
         return self.tail_bound_ok & self.growth_bound_ok
 
 
-def _finish(run: RecurrenceRun) -> RecurrenceRun:
-    p = run.params
-    d, D = run.small, run.large
-    N = run.n
+def _run(p: RecurrenceParams, N: int, d: np.ndarray, D: np.ndarray) -> RecurrenceRun:
+    """The run of sequences d and D, with its flags checked."""
     flag = bool if d.ndim == 1 else np.asarray
     sqd = np.sqrt(p.delta)
-    run.tail_bound_ok = flag(d[..., N] <= 2.0 * sqd * D[..., N])
     lam_eps = LAMBDA_BIG ** (1.0 - p.epsilon)
     target = D[..., 0] * LAMBDA_BIG ** (N * (1.0 - p.epsilon))
-    run.growth_bound_ok = flag(
-        (D[..., N] >= target)
-        & (target > LAMBDA_BIG ** ((N / 2.0) * (1.0 - 4.0 * p.epsilon)))
-    )
-    # stepwise inductive bounds from the proof
-    run.stepwise_growth_ok = flag(
-        np.all(D[..., 1:] >= lam_eps * D[..., :-1] * (1.0 - 1e-12), axis=-1)
-    )
     cap = (1.0 + 2.0 * p.delta + sqd) * np.maximum(d[..., :-1], sqd * D[..., :-1])
-    run.stepwise_small_ok = flag(np.all(d[..., 1:] <= cap * (1.0 + 1e-12), axis=-1))
     # once sqrt(delta) D_k overtakes d_k it must stay ahead; with no
     # crossover at all this holds vacuously
     ahead = sqd * D > d
-    run.dichotomy_ok = flag(~np.any(ahead[..., :-1] & ~ahead[..., 1:], axis=-1))
-    return run
+    return RecurrenceRun(
+        params=p, n=N, small=d, large=D,
+        tail_bound_ok=flag(d[..., N] <= 2.0 * sqd * D[..., N]),
+        growth_bound_ok=flag(
+            (D[..., N] >= target)
+            & (target > LAMBDA_BIG ** ((N / 2.0) * (1.0 - 4.0 * p.epsilon)))
+        ),
+        # stepwise inductive bounds from the proof
+        stepwise_growth_ok=flag(
+            np.all(D[..., 1:] >= lam_eps * D[..., :-1] * (1.0 - 1e-12), axis=-1)
+        ),
+        stepwise_small_ok=flag(np.all(d[..., 1:] <= cap * (1.0 + 1e-12), axis=-1)),
+        dichotomy_ok=flag(~np.any(ahead[..., :-1] & ~ahead[..., 1:], axis=-1)),
+    )
 
 
 def _step(
@@ -187,8 +186,7 @@ def run_dD(params: RecurrenceParams, N: int) -> RecurrenceRun:
     _check_n(params, N)
     b = geometric_heights(params, N)
     D0 = (LAMBDA_BIG + params.delta) ** (-N / 2.0)
-    d, D = _step(params, b, D0, np.zeros((N, 2)))
-    return _finish(RecurrenceRun(params=params, n=N, small=d, large=D, heights=b))
+    return _run(params, N, *_step(params, b, D0, np.zeros((N, 2))))
 
 
 def geometric_heights(params: RecurrenceParams, N: int) -> np.ndarray:
@@ -234,8 +232,7 @@ def run_aA(
         raise ValueError(
             "slack schedule must be (N, 2) or (S, N, 2) fractions in [0, 1)"
         )
-    a, A = _step(params, b, A0, slack)
-    return _finish(RecurrenceRun(params=params, n=N, small=a, large=A, heights=b))
+    return _run(params, N, *_step(params, b, A0, slack))
 
 
 def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:

@@ -8,11 +8,10 @@ The half-traces x_k(E) of the Fibonacci-block transfer matrices obey
 so they are the coordinates of the trace-map orbit of the line point
 ((E - V)/2, E/2, 1), and E lies in the spectrum exactly when that orbit
 stays bounded.  ``trace_sequence`` runs the recursion, by
-``tracemap.trace_orbit``, for an array of energies;
-``half_trace_oracle`` multiplies the transfer matrices as an
-independent reference.  Periodic approximants give band sets
-sigma_k = {E : |x_k(E)| <= 1} whose consecutive unions cover the
-spectrum.  By Floquet theory x_k = +1 or -1 exactly at the eigenvalues
+``tracemap.trace_orbit``, for an array of energies; the tests check it
+against products of the transfer matrices.  Periodic approximants give
+band sets sigma_k = {E : |x_k(E)| <= 1} whose consecutive unions cover
+the spectrum.  By Floquet theory x_k = +1 or -1 exactly at the eigenvalues
 of the period-F_k operator with periodic or antiperiodic boundary
 conditions, so the band edges are computed as those eigenvalues.  The
 word w_k is a mirror image of itself on the ring of F_k sites, so the
@@ -38,22 +37,15 @@ from .intervals import BandSet, merge_intervals  # noqa: F401
 from .tracemap import trace_orbit
 
 __all__ = [
-    "ALPHA",
     "MAX_LEVEL",
     "approximant_chain",
     "fibonacci",
-    "half_trace_oracle",
     "spectrum_cover",
     "trace_sequence",
-    "transfer_matrix",
 ]
-
-ALPHA = (np.sqrt(5.0) - 1.0) / 2.0
 
 #: magnitude past which trace_sequence reports NaN (the orbit escapes)
 OVERFLOW = 1e300
-
-MAX_ORACLE_INDEX = 16
 
 #: deepest approximant level; level k solves four Jacobi matrices on a
 #: path of F_k // 2 + 1 sites, held as their (diagonal, off-diagonal)
@@ -95,53 +87,6 @@ def fibonacci(k: int) -> int:
     if k <= 1:
         return 1
     return fibonacci(k - 1) + fibonacci(k - 2)
-
-
-def transfer_matrix(m: int, E, coupling: float) -> np.ndarray:
-    """One-step transfer matrix at site m (phase offset fixed to zero).
-
-    The potential indicator fires when m * alpha mod 1 falls in
-    [1 - alpha, 1).  Vectorizes over E; result has shape E.shape + (2, 2).
-    """
-    if m < 1:
-        raise ValueError("site index must be >= 1")
-    E = np.asarray(E, dtype=float)
-    on = 1.0 if (m * ALPHA) % 1.0 >= 1.0 - ALPHA else 0.0
-    top = E - float(coupling) * on
-    one = np.ones_like(E)
-    zero = np.zeros_like(E)
-    return np.stack(
-        [
-            np.stack([top, -one], axis=-1),
-            np.stack([one, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
-def half_trace_oracle(k: int, E, coupling: float):
-    """Half-trace of the ordered product over one Fibonacci block.
-
-    Multiplies the one-step matrices T(F_k) ... T(1) directly, with the
-    conventional seeds at k = -1 and k = 0.  Deliberately independent of
-    the three-term recursion so the two can cross-check each other.
-    """
-    if not -1 <= k <= MAX_ORACLE_INDEX:
-        raise ValueError(f"oracle index must be in -1..{MAX_ORACLE_INDEX}")
-    E = np.asarray(E, dtype=float)
-    scalar = E.ndim == 0
-    E = np.atleast_1d(E)
-    if k == -1:
-        out = np.ones_like(E)  # trace of [[1, -V], [0, 1]] is 2
-    elif k == 0:
-        out = E / 2.0
-    else:
-        prod = transfer_matrix(1, E, coupling)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(2, fibonacci(k) + 1):
-                prod = transfer_matrix(m, E, coupling) @ prod
-            out = (prod[..., 0, 0] + prod[..., 1, 1]) / 2.0
-    return float(out[0]) if scalar else out
 
 
 def trace_sequence(E, coupling: float, k_max: int) -> np.ndarray:

@@ -13,35 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tracemap import trace_step
-
 __all__ = [
     "MU",
-    "TORUS_MATRIX",
     "V_S",
     "V_U",
-    "check_semiconjugacy",
     "df_semiconj",
     "invert_semiconj",
     "semiconj",
-    "torus_auto",
 ]
 
 MU = (1.0 + np.sqrt(5.0)) / 2.0
-
-TORUS_MATRIX = np.array([[1.0, 1.0], [1.0, 0.0]])
 
 #: unit eigenvectors of the torus matrix: A V_U = MU V_U and
 #: A V_S = -(1/MU) V_S; the two happen to be orthogonal
 V_U = np.array([MU, 1.0]) / np.linalg.norm([MU, 1.0])
 V_S = np.array([1.0, -MU]) / np.linalg.norm([1.0, -MU])
-
-
-def torus_auto(t) -> np.ndarray:
-    """One step of the automorphism mod 1.  Accepts (..., 2) arrays."""
-    t = np.asarray(t, dtype=float)
-    th, ph = t[..., 0], t[..., 1]
-    return np.mod(np.stack([th + ph, th], axis=-1), 1.0)
 
 
 def semiconj(t) -> np.ndarray:
@@ -99,14 +85,3 @@ def invert_semiconj(p) -> np.ndarray:
         [np.where(pick >= 2, th_neg, th), np.where(pick % 2 == 1, ph_neg, ph)],
         axis=-1,
     )
-
-
-def check_semiconjugacy(grid_resolution: int = 512) -> float:
-    """Max defect of T(F(t)) - F(At) over a uniform torus grid."""
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
-    u = np.arange(grid_resolution) / grid_resolution
-    th, ph = np.meshgrid(u, u, indexing="ij")
-    t = np.stack([th, ph], axis=-1).reshape(-1, 2)
-    defect = trace_step(semiconj(t)) - semiconj(torus_auto(t))
-    return float(np.max(np.linalg.norm(defect, axis=-1)))

@@ -20,14 +20,11 @@ import numpy as np
 __all__ = [
     "PER2_POLE_BAND",
     "fricke",
-    "on_surface",
     "per2_point",
-    "singular_orbit",
     "singular_points",
     "surface_points",
     "trace_orbit",
     "trace_step",
-    "trace_step_inv",
 ]
 
 #: half-width of the rejected band around the per2_point pole at x = 1/2
@@ -50,22 +47,15 @@ def trace_step(p) -> np.ndarray:
     return np.stack([2.0 * x * y - z, x, y], axis=-1)
 
 
-def trace_step_inv(p) -> np.ndarray:
-    """Inverse step (y, z, 2yz - x); exact inverse in exact arithmetic."""
-    p = _as_point(p)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([y, z, 2.0 * y * z - x], axis=-1)
-
-
 def trace_orbit(a, b, c, n: int) -> np.ndarray:
     """s_0 .. s_{n+2} of s_j = 2 s_{j-1} s_{j-2} - s_{j-3} with s_0..s_2 = a, b, c.
 
     The starts broadcast to some shape; the result is (n + 3, *shape).
     The forward orbit of (x, y, z) starts from (z, y, x), with
     T^k(p) = (s_{k+2}, s_{k+1}, s_k); the backward one from (x, y, z),
-    with T^-k(p) = (s_k, s_{k+1}, s_{k+2}).  Each value equals
-    ``trace_step``'s or ``trace_step_inv``'s bit for bit, and an orbit
-    that escapes runs to inf and NaN without warnings.
+    with T^-k(p) = (s_k, s_{k+1}, s_{k+2}).  Each value equals that of
+    ``trace_step``, or of the inverse step (y, z, 2yz - x), bit for bit,
+    and an orbit that escapes runs to inf and NaN without warnings.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -84,16 +74,6 @@ def fricke(p) -> float | np.ndarray:
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     g = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
     return float(g) if g.ndim == 0 else g
-
-
-def on_surface(p, coupling: float, tol: float = 1e-9) -> bool | np.ndarray:
-    """Membership test for S_V via the invariant: |G(p) - V^2/4| <= tol."""
-    if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    if tol <= 0:
-        raise ValueError("membership tolerance must be > 0")
-    r = np.abs(fricke(p) - coupling * coupling / 4.0) <= tol
-    return bool(r) if np.ndim(r) == 0 else r
 
 
 def per2_point(x) -> np.ndarray:
@@ -124,16 +104,6 @@ def singular_points() -> np.ndarray:
             [-1.0, -1.0, 1.0],
         ]
     )
-
-
-def singular_orbit() -> dict:
-    """Singular points of S_0 with their orbit structure under the map."""
-    pts = singular_points()
-    return {
-        "points": pts,
-        "fixed": [0],
-        "cycle": [1, 2, 3],  # P2 -> P3 -> P4 -> P2
-    }
 
 
 def surface_points(coupling: float, x, y) -> tuple[np.ndarray, ...]:

@@ -15,9 +15,9 @@ import numpy as np
 from fibtrace import boxdim, certify, empirical, recurrences, spectrum
 from fibtrace.intervals import BandSet
 from fibtrace import subshift as sub
-from fibtrace import torus
 from fibtrace.recurrences import RecurrenceParams
-from fibtrace.tracemap import fricke, per2_point, singular_orbit, trace_step
+from fibtrace.tracemap import fricke, per2_point, trace_step
+from oracles import check_semiconjugacy, enumerate_words, half_trace_oracle, singular_orbit
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -50,7 +50,7 @@ def test_criterion_02_oracle_equivalence():
     for V in (0.0, 0.1, 1.0):
         xs = spectrum.trace_sequence(E_grid, V, 16)
         for k in range(-1, 17):
-            oracle = np.atleast_1d(spectrum.half_trace_oracle(k, E_grid, V))
+            oracle = np.atleast_1d(half_trace_oracle(k, E_grid, V))
             rec = xs[k + 1]
             # NaN where the recursion overflowed before level k
             valid = np.isfinite(rec)
@@ -73,7 +73,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_semiconjugacy_defect():
     t0 = time.perf_counter()
-    defect = torus.check_semiconjugacy(512)
+    defect = check_semiconjugacy(512)
     ok = defect <= 1e-10 and time.perf_counter() - t0 < 5.0
     report(3, "semiconjugacy defect on 512x512 torus grid", ok, t0,
            f"max defect {defect:.2e}")
@@ -166,7 +166,7 @@ def test_criterion_08_subshift():
     )
     ok = np.array_equal(sub.TRANSITION, expected)
     for n in range(1, 11):
-        ok = ok and sub.counts(n)[0] == sub.enumerate_words(n)
+        ok = ok and sub.counts(n)[0] == enumerate_words(n)
     ok = ok and np.trace(np.linalg.matrix_power(sub.TRANSITION, 2)) == 4
     ok = ok and np.trace(np.linalg.matrix_power(sub.TRANSITION, 3)) == 0
     ok = ok and time.perf_counter() - t0 < 1.0

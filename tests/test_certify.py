@@ -310,14 +310,15 @@ def test_model_map_accepts_point_arrays():
     assert np.allclose(pushed_v, np.einsum("ijn,jn->in", jacs, v))
 
 
-def test_batch_orbit_growth_flags_are_per_row():
+def test_batch_orbit_growth_flags_are_per_row(monkeypatch):
     # linear map, growth exactly lambda^k against a demanded
-    # (eta/2) lambda^(1.1 k): the bound fails from step 15 on
+    # (eta/2) lambda^(1.1 k) at eps = -0.3: the bound fails from step 15 on
+    monkeypatch.setattr(certify, "_EPSILON", -0.3)
     m = certify.ModelMap(delta=0.0)
     zs = certify.LAMBDA_BIG ** -np.array([9.5, 29.5, 29.5])
     P = np.column_stack([[0.1, 0.2, 0.3], [0.0, 0.1, 0.2], zs])
     V = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.1]])
-    rep = certify.expansion_certificates(m, P, V, epsilon=-0.3)
+    rep = certify.expansion_certificates(m, P, V)
     assert rep.exit_time.tolist() == [10, 30, 30]
     # exits before the dip; dips; starts outside the eta-cone
     assert rep.expansion_along_orbit_ok.tolist() == [True, False, True]

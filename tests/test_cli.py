@@ -44,8 +44,10 @@ def test_spectrum_command_and_csv(tmp_path):
     payload = json.loads(out.read_text())
     assert abs(float(payload["measure"]) - 4.0) < 0.05
     lines = (tmp_path / "spec.json.csv").read_text().splitlines()
-    assert lines[0] == "lo,hi,generation"
+    assert lines[0] == "lo,hi"
     assert len(lines) == payload["band_count"] + 1
+    # the level is stated once, not on every band
+    assert all(band.keys() == {"lo", "hi"} for band in payload["bands"])
 
 
 def test_negative_coupling_exits_2_naming_field(tmp_path):

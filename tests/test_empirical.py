@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from fibtrace import certify, empirical, torus
-from fibtrace.tracemap import (
-    on_surface,
-    singular_points,
-    trace_orbit,
-    trace_step,
-    trace_step_inv,
-)
+from fibtrace.tracemap import singular_points, surface_points, trace_orbit, trace_step
+from oracles import on_surface, trace_step_inv
 
 
 def trace_jacobian(p) -> np.ndarray:
@@ -398,8 +393,9 @@ def test_certificate_statistics_are_pinned(kw, counts, min_ratio):
 def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
     """The earlier per-step engine: every sample stepped by trace_step,
     with the frames, seeds and cone test computed at each step on the
-    rows seeded or checked there.  Returns the report and the number of
-    re-seedings (seeds of rows carried before)."""
+    rows seeded or checked there; a check where the frame is exactly 0
+    is undecided.  Returns the report and the number of re-seedings
+    (seeds of rows carried before)."""
     inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
     target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
     n = len(pts)
@@ -408,7 +404,7 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
     has_v = np.zeros(n, dtype=bool)
     has_total = np.zeros(n, dtype=bool)
     checked = np.zeros(n, dtype=bool)
-    cone_checks = cone_hits = reseeds = 0
+    cone_checks = cone_hits = cone_undecided = reseeds = 0
     q = pts.copy()
     far = _eigenframe_distance_rows(q, inv_frame) >= singular_radius
     for _ in range(n_forward):
@@ -436,9 +432,12 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
         if len(check):
             q_check = q[check]
             w = _project_tangent_rows(v[check], q_check)
-            coef_u, coef_s = _frame_coefficients_rows(*_unstable_frame_rows(q_check), w)
-            cone_checks += len(check)
-            hit = np.abs(coef_u) > np.abs(coef_s) / zeta
+            e_u, e_s = _unstable_frame_rows(q_check)
+            coef_u, coef_s = _frame_coefficients_rows(e_u, e_s, w)
+            decided = np.any(e_u != 0.0, axis=-1)
+            cone_checks += int(np.count_nonzero(decided))
+            cone_undecided += int(np.count_nonzero(~decided))
+            hit = decided & (np.abs(coef_u) > np.abs(coef_s) / zeta)
             cone_hits += int(np.count_nonzero(hit))
             checked[check] = True
     g = np.linalg.norm(v_total, axis=-1)
@@ -451,6 +450,7 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
         min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
         cone_checks=cone_checks,
         cone_hits=cone_hits,
+        cone_undecided=cone_undecided,
         singular_radius=singular_radius,
         per_sample_ratios=ratios,
     )
@@ -458,7 +458,7 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
 
 
 def test_batched_certificate_matches_the_per_step_engine():
-    seen = {"reseeds": 0, "inconclusive": 0, "misses": 0}
+    seen = {"reseeds": 0, "inconclusive": 0, "misses": 0, "undecided": 0}
     for i, (coupling, n_forward, radius) in enumerate(itertools.product(
         (0.02, 0.3, 0.5), (3, 20, 60), (0.0, 0.05, 0.6)
     )):
@@ -468,16 +468,39 @@ def test_batched_certificate_matches_the_per_step_engine():
         case = (coupling, n_forward, radius)
         assert got.samples_total == want.samples_total == len(pts), case
         assert (got.samples_used, got.inconclusive, got.cone_checks,
-                got.cone_hits) == (want.samples_used, want.inconclusive,
-                                   want.cone_checks, want.cone_hits), case
+                got.cone_hits, got.cone_undecided) == (
+                    want.samples_used, want.inconclusive, want.cone_checks,
+                    want.cone_hits, want.cone_undecided), case
         assert np.array_equal(got.per_sample_ratios, want.per_sample_ratios), case
         assert np.array_equal(got.min_expansion_ratio, want.min_expansion_ratio,
                               equal_nan=True), case
         seen["reseeds"] += reseeds
         seen["inconclusive"] += want.inconclusive
         seen["misses"] += want.cone_checks - want.cone_hits
+        seen["undecided"] += want.cone_undecided
     # the grid reaches every branch of the loop
     assert all(seen.values()), seen
+
+
+def test_checks_at_a_vertex_shadow_are_undecided():
+    # one step from a point p with |x|, |y| > 1 of S_V lands on T(p) =
+    # (2xy - z, x, y), whose y and z lie outside (-1, 1): its shadow is
+    # clipped to a vertex of the square, where the frame is exactly 0 and
+    # tests no cone, so the check there is neither a hit nor a miss
+    V = 0.5
+    x, y = np.array(list(itertools.product((-1.2, -1.1, 1.1, 1.2), repeat=2))).T
+    corner = np.column_stack(surface_points(V, x, y))
+    corner = corner[np.abs(corner[:, 2]) < 1.0]  # seeded: a nonzero frame at p
+    assert len(corner) == 16
+    u, _ = empirical._unstable_frame(trace_step(corner).T)
+    assert not u.any()
+    plain = empirical.sample_bounded_points(V, 50, 1, rng=3)
+    base = empirical._certify_points(plain, 1, 0.1, 0.1, 0.0)
+    rep = empirical._certify_points(np.concatenate([plain, corner]), 1, 0.1, 0.1, 0.0)
+    assert base.cone_checks > base.cone_hits > 0
+    assert (rep.cone_checks, rep.cone_hits) == (base.cone_checks, base.cone_hits)
+    assert rep.cone_undecided == base.cone_undecided + len(corner)
+    assert rep.cone_invariance_fraction == base.cone_invariance_fraction
 
 
 def test_certificate_refuses_points_that_are_not_finite():

@@ -118,17 +118,18 @@ def test_all_lists_every_public_function_and_class():
     assert found == []
 
 
-#: public functions that nothing under src/fibtrace calls, kept on purpose
+#: public functions that nothing under src/fibtrace calls, kept on purpose,
+#: each with the program use it is kept for; the references the tests
+#: compare the program against live in tests/oracles.py
 REFERENCE = {
-    # independent references that tests compare the fast paths against
-    ("spectrum", "half_trace_oracle"): "transfer-matrix products; criterion 02's oracle",
+    ("tracemap", "trace_step"):
+        "the map T itself, which trace_orbit equals bit for bit; perfbench "
+        "traces it where empirical imports it",
+    ("tracemap", "fricke"): "the invariant G, for the run-time check that G is "
+                            "conserved (ROADMAP item 4)",
+    ("torus", "semiconj"): "the semiconjugacy F, which the periodic-orbit "
+                           "dimension reads (ROADMAP item 6)",
     ("spectrum", "trace_sequence"): "the half-trace recursion that criterion 02 checks",
-    ("subshift", "enumerate_words"): "word counts by enumeration; criterion 08's oracle",
-    ("subshift", "characteristic_root"): "the dominant root by bisection, against spectral_radius",
-    ("torus", "check_semiconjugacy"): "the defect of T F = F A that criterion 03 bounds",
-    ("tracemap", "trace_step_inv"): "the inverse step the bounded-point screen is checked against",
-    ("tracemap", "on_surface"): "membership in S_V, which tests check points against",
-    ("tracemap", "singular_orbit"): "the singular orbit structure that criterion 05 checks",
     # ROADMAP item 2 decides whether it stays
     ("boxdim", "local_dimension"): "the dimension of a window of a band set",
 }
@@ -167,23 +168,63 @@ def test_every_public_function_has_a_caller(monkeypatch):
     assert found == []
 
 
-#: defaulted parameters of public functions that no call in src/fibtrace
+#: defaulted parameters and dataclass fields that no call in src/fibtrace
 #: or perfbench's program modules sets, kept on purpose; those of
 #: REFERENCE functions are all kept
 UNSET_DEFAULTS = {
-    ("certify", "expansion_certificate", "epsilon"):
-        "passed on to expansion_certificates, where the tests' dip case sets it",
-    ("certify", "expansion_certificate", "eta"):
-        "passed on to expansion_certificates, where the tests' dip case sets it",
+    ("intervals", "BandSet", "generation"):
+        "set after the back-off by spectrum_cover; ROADMAP item 15 removes it",
 }
 
 
-def _defaulted(fn):
-    """The names of a function's parameters that have defaults."""
+def _parameters(fn, skip):
+    """(name, slot) of each defaulted parameter of a function, its slot
+    being its position in a call once the first ``skip`` are bound (self
+    of a method); a keyword-only parameter has slot None."""
     a = fn.args
     positional = a.posonlyargs + a.args
-    return [p.arg for p in positional[len(positional) - len(a.defaults):]] + [
-        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    first = len(positional) - len(a.defaults)
+    yield from ((p.arg, i - skip) for i, p in enumerate(positional) if i >= first)
+    yield from ((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None)
+
+
+def _is_dataclass(cls):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _fields(cls):
+    """(name, slot) of each defaulted field of a dataclass, its slot being
+    its position in the constructor; ``field()`` without a default or a
+    default_factory gives none."""
+    fields = [s for s in cls.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for slot, f in enumerate(fields):
+        v = f.value
+        if v is None or (isinstance(v, ast.Call) and getattr(v.func, "id", None) == "field"
+                         and not {"default", "default_factory"} & {k.arg for k in v.keywords}):
+            continue
+        yield f.target.id, slot
+
+
+def _defaults(tree, public):
+    """(reported name, called name, parameter, slot) of every defaulted
+    parameter of a public function or of a public method of a public
+    class, and of every defaulted field of a public dataclass."""
+    for node in tree.body:
+        if getattr(node, "name", None) not in public:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield from ((node.name, node.name, p, i) for p, i in _parameters(node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield from ((f"{node.name}.{fn.name}", fn.name, p, i)
+                                for p, i in _parameters(fn, 1))
+            if _is_dataclass(node):
+                yield from ((node.name, node.name, p, i) for p, i in _fields(node))
 
 
 def _arguments_passed(paths):
@@ -204,22 +245,19 @@ def _arguments_passed(paths):
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
-    # a default that no caller overrides is a knob that does nothing; the
-    # benchmark's own tests are not callers
+    # a default that no caller overrides is a knob that does nothing, and
+    # a field default that no constructor call overrides is a placeholder;
+    # the benchmark's own tests are not callers
     program = [path for path in sorted(PERFBENCH.glob("*.py"))
                if not path.name.startswith("test_")]
     passed = _arguments_passed(sorted(PACKAGE.glob("*.py")) + program)
     unset = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        public = set(_declared_all(tree) or ())
-        for fn in tree.body:
-            if (not isinstance(fn, ast.FunctionDef) or fn.name not in public
-                    or (path.stem, fn.name) in REFERENCE):
-                continue
-            slot = {p.arg: i for i, p in enumerate(fn.args.posonlyargs + fn.args.args)}
-            unset |= {(path.stem, fn.name, p) for p in _defaulted(fn)
-                      if (fn.name, p) not in passed and (fn.name, slot.get(p)) not in passed}
+        public = set(_declared_all(tree) or ()) - {
+            name for stem, name in REFERENCE if stem == path.stem}
+        unset |= {(path.stem, name, p) for name, called, p, slot in _defaults(tree, public)
+                  if (called, p) not in passed and (called, slot) not in passed}
     found = [f"{stem}.{name}: no call sets {param}"
              for stem, name, param in sorted(unset - UNSET_DEFAULTS.keys())]
     found += [f"UNSET_DEFAULTS names {stem}.{name}'s {param}, which is not an unset default"

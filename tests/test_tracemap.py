@@ -5,15 +5,13 @@ from fibtrace.spectrum import trace_sequence
 from fibtrace.tracemap import (
     PER2_POLE_BAND,
     fricke,
-    on_surface,
     per2_point,
-    singular_orbit,
     singular_points,
     surface_points,
     trace_orbit,
     trace_step,
-    trace_step_inv,
 )
+from oracles import on_surface, singular_orbit, trace_step_inv
 
 
 def test_forward_then_inverse_is_identity():
