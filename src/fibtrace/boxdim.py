@@ -48,7 +48,6 @@ RESIDUAL_FLAG = 0.05
 @dataclass
 class DimensionEstimate:
     value: float
-    scale_range: tuple[float, float]
     regression_residual: float
     counts: list[tuple[float, int]]
 
@@ -147,7 +146,6 @@ def box_dimension(b: BandSet, eps_grid) -> DimensionEstimate:
     )
     return DimensionEstimate(
         value=slope,
-        scale_range=(usable[0], usable[-1]),
         regression_residual=residual,
         counts=counts,
     )

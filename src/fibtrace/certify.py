@@ -51,7 +51,8 @@ DT_SINGULAR = np.array(
 
 @dataclass(frozen=True)
 class SingularEigenData:
-    matrix: np.ndarray
+    """The eigenpairs of ``DT_SINGULAR``."""
+
     eigenvalues: np.ndarray   # descending by magnitude: big, -1, small
     eigenvectors: np.ndarray  # columns matching eigenvalues
 
@@ -69,9 +70,7 @@ def singular_eigen() -> SingularEigenData:
     vals = vals[idx].real
     vecs = vecs[:, idx].real
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return SingularEigenData(
-        matrix=DT_SINGULAR.copy(), eigenvalues=vals, eigenvectors=vecs
-    )
+    return SingularEigenData(eigenvalues=vals, eigenvectors=vecs)
 
 
 def cone_member_3d(v, z_p) -> bool | np.ndarray:
@@ -93,15 +92,10 @@ def cone_member_3d(v, z_p) -> bool | np.ndarray:
 
 #: the map's three waves sin a0, cos a1, sin a2 and their slopes
 #: cos a0, sin a1, cos a2, a = (x + y, x - y, x) + phases, are the sines
-#: of the arguments (a, a) shifted by these
-_WAVE_SHIFTS = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) * (np.pi / 2.0)
-#: the diagonal of the linear part diag(1/lambda, 1, lambda)
-_SCALE = np.array([1.0 / LAMBDA_BIG, 1.0, LAMBDA_BIG])
-
-
-def _column(a: np.ndarray, ndim: int) -> np.ndarray:
-    """A 1-d array shaped to broadcast along the first axis of ndim axes."""
-    return a.reshape(a.shape + (1,) * (ndim - 1))
+#: of the arguments (a, a) shifted by these, held as a column
+_WAVE_SHIFTS = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]) * (np.pi / 2.0)
+#: the diagonal of the linear part diag(1/lambda, 1, lambda), as a column
+_SCALE = np.array([[1.0 / LAMBDA_BIG], [1.0], [LAMBDA_BIG]])
 
 
 def _sum_squares(w: np.ndarray) -> np.ndarray:
@@ -141,10 +135,10 @@ class ModelMap:
     factor of z, so the plane is exactly invariant; phases make distinct
     seeds give distinct maps.  ``delta`` bounds ||Df - A|| over the
     working box, and C1 = 1 holds only for 0 <= delta <= 2, so any other
-    delta is refused (see ``make_model_map``).  Every method takes points
-    coordinate first, as a (3, ...) array, and returns its values in the
-    same layout.  The wave shifts are computed once, when the map is
-    made.
+    delta is refused (see ``make_model_map``).  ``expansion_certificates``
+    steps it by ``_step``, the one formula for f and Df, on points and
+    vectors held coordinate first as (3, n) columns.  The wave shifts
+    are computed once, when the map is made.
     """
 
     delta: float
@@ -153,36 +147,27 @@ class ModelMap:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 2.0:
             raise ValueError(f"delta must be in [0, 2], got {self.delta}")
-        # the six shifts of the wave arguments (see ``_waves``)
-        self._shifts = np.concatenate([self.phases, self.phases]) + _WAVE_SHIFTS
-
-    @property
-    def linear(self) -> np.ndarray:
-        return np.diag(_SCALE)
+        # the six shifts of the wave arguments, as a column
+        self._shifts = np.concatenate([self.phases, self.phases])[:, None] + _WAVE_SHIFTS
 
     def _arguments(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The six wave arguments (a, a) + shifts of (3, ...) points p,
-        written into the (6, ...) buffer out and returned."""
-        np.add(p[0], p[1], out=out[0, ...])
-        np.subtract(p[0], p[1], out=out[1, ...])
+        """The six wave arguments (a, a) + shifts of (3, n) points p,
+        written into the (6, n) buffer out and returned."""
+        np.add(p[0], p[1], out=out[0])
+        np.subtract(p[0], p[1], out=out[1])
         out[2] = p[0]
         out[3:] = out[:3]
-        out += _column(self._shifts, p.ndim)
+        out += self._shifts
         return out
-
-    def _waves(self, p: np.ndarray) -> np.ndarray:
-        """Waves (sin a0, cos a1, sin a2), then slopes (cos a0, sin a1,
-        cos a2), as one (6, ...) array: the sines of (a, a) + shifts,
-        taken in place in the buffer that holds their arguments."""
-        args = self._arguments(p, np.empty((6,) + p.shape[1:]))
-        return np.sin(args, out=args)
 
     def _step(self, p: np.ndarray, v: np.ndarray, sines: np.ndarray,
               out: np.ndarray) -> None:
-        """f(p) into out[:3] and Df(p) v into out[3:6], given the sines
-        ``_waves(p)`` of p's wave arguments.
+        """f(p) into out[:3] and Df(p) v into out[3:6], for (3, n) points
+        p and vectors v, given the sines of p's wave arguments
+        (``_arguments``): waves (sin a0, cos a1, sin a2), then slopes
+        (cos a0, sin a1, cos a2).
 
-        out is a (10, ...) buffer that overlaps none of p, v and sines;
+        out is a (10, n) buffer that overlaps none of p, v and sines;
         its rows 6 to 9 are scratch.  Df v = A v + (delta/8) (z slopes *
         (G v) + waves v_z), where the rows of G, the gradients of the
         wave arguments signed so that wave i's derivative is slope i
@@ -191,50 +176,30 @@ class ModelMap:
         ((delta/8) waves) v_z, and f(p) = A p + ((delta/8) z) waves.
         """
         waves, slopes = sines[:3], sines[3:]
-        image, pushed, term, sz = out[:3], out[3:6], out[6:9], out[9, ...]
+        image, pushed, term, sz = out[:3], out[3:6], out[6:9], out[9]
         s = self.delta / 8.0
         np.multiply(s, p[2], out=sz)
         # G v
-        np.add(v[0], v[1], out=term[0, ...])
-        np.subtract(v[1], v[0], out=term[1, ...])
+        np.add(v[0], v[1], out=term[0])
+        np.subtract(v[1], v[0], out=term[1])
         term[2] = v[0]
         np.multiply(sz, slopes, out=pushed)
         pushed *= term
-        np.multiply(v, _column(_SCALE, v.ndim), out=term)
+        np.multiply(v, _SCALE, out=term)
         pushed += term
         np.multiply(s, waves, out=term)
         term *= v[2]
         pushed += term
-        np.multiply(p, _column(_SCALE, p.ndim), out=image)
+        np.multiply(p, _SCALE, out=image)
         np.multiply(sz, waves, out=term)
         image += term
-
-    def __call__(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        # f(p) is the first half of any push from p
-        return self.push(p, p)[0]
-
-    def jacobian(self, p) -> np.ndarray:
-        """Differential at p, shape (3, 3, ...): column j is Df(p) e_j."""
-        p = np.asarray(p, dtype=float)
-        basis = (np.broadcast_to(_column(e, p.ndim), p.shape) for e in np.eye(3))
-        return np.stack([self.push(p, e)[1] for e in basis], axis=1)
-
-    def push(self, p, v) -> tuple[np.ndarray, np.ndarray]:
-        """f(p) and Df(p) v together, for (3, ...) points and vectors of
-        one shape (see ``_step``)."""
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.empty((10,) + p.shape[1:])
-        self._step(p, v, self._waves(p), out)
-        return out[:3], out[3:6]
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
     """Construct a model map with lambda = LAMBDA_BIG and C1 = 1.
 
     On the box |p_i| <= 2, Df - A = (delta/8) (z diag(slopes) G +
-    waves e_z^T), with G as in ``ModelMap.push``.  G^T G = diag(3, 2, 0),
+    waves e_z^T), with G as in ``ModelMap._step``.  G^T G = diag(3, 2, 0),
     so ||G|| = sqrt 3; every slope and wave is at most 1 in size, so
     ||waves|| <= sqrt 3; and |z| <= 2.  Hence ||Df - A|| <=
     (delta/8) (2 sqrt 3 + sqrt 3) = (3 sqrt 3 / 8) delta, about

@@ -253,7 +253,7 @@ def cmd_dimension(p: dict, out: str, seed: int | None) -> dict:
     return {**level, "estimate": {
         "value": _fmt(est.value), "residual": _fmt(est.regression_residual),
         "flagged": est.flagged,
-        "scale_range": [_fmt(est.scale_range[0]), _fmt(est.scale_range[1])],
+        "scale_range": [_fmt(est.counts[0][0]), _fmt(est.counts[-1][0])],
         "counts": [[_fmt(e), n] for e, n in est.counts],
     }}
 
@@ -303,13 +303,13 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
         p["coupling"], sample_size=p["samples"], n_forward=p["n"], epsilon=p["epsilon"],
         zeta=p["zeta"], singular_radius=p["singular_radius"], rng=rng,
     )
-    rates = ("inconclusive_rate", "min_expansion_ratio", "cone_invariance_fraction",
-             "singular_radius")
+    rates = ("inconclusive_rate", "min_expansion_ratio", "cone_invariance_fraction")
     return {"report": {
         "kind": "empirical", "coupling": _fmt(p["coupling"]),
         "samples": rep.samples_total, "cone_checks": rep.cone_checks,
         "cone_undecided": rep.cone_undecided,
         **{name: _fmt(getattr(rep, name)) for name in rates},
+        "singular_radius": _fmt(p["singular_radius"]),
     }}
 
 

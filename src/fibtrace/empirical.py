@@ -240,15 +240,24 @@ def _tangent_step(two_x: np.ndarray, two_y: np.ndarray, v: np.ndarray) -> np.nda
 
 @dataclass
 class EmpiricalReport:
+    """The statistics of ``empirical_trace_certificate``.
+
+    A sample is used when its orbit had at least one decided cone check
+    and its transported vector a finite, nonzero final stretch; the
+    others are inconclusive.
+    """
+
     samples_total: int
     samples_used: int
-    inconclusive: int
     min_expansion_ratio: float
     cone_checks: int
     cone_hits: int
     cone_undecided: int  # checks at a vertex shadow, in neither count
-    singular_radius: float
     per_sample_ratios: np.ndarray = field(repr=False)
+
+    @property
+    def inconclusive(self) -> int:
+        return self.samples_total - self.samples_used
 
     @property
     def cone_invariance_fraction(self) -> float:
@@ -388,9 +397,7 @@ def _certify_points(
     # the vector sample i carried through step k is checked at window
     # point (k + 1) n + i, a far point, whose frame is the column of
     # u_far and s_far at its rank in at
-    check = held & far[1:]
-    checked = check.any(axis=0)
-    pairs = np.flatnonzero(check)
+    pairs = np.flatnonzero(held & far[1:])
     w = _project_tangent(carried.reshape(3, -1)[:, pairs],
                          _window_points(seq, pairs + n))
     rank = np.searchsorted(at, pairs + n)
@@ -399,20 +406,21 @@ def _certify_points(
     # at a vertex shadow the frame is exactly 0 and tests no cone: such a
     # check is undecided, and its coefficients, 0 and 0, are no hit.  The
     # frame is 0 where its rows 1 and 2, multiples of the two sines, are
-    undecided = int(np.count_nonzero((u_check[1] == 0.0) & (u_check[2] == 0.0)))
-    cone_checks = len(pairs) - undecided
+    decided = (u_check[1] != 0.0) | (u_check[2] != 0.0)
+    cone_checks = int(np.count_nonzero(decided))
     cone_hits = int(np.count_nonzero(np.abs(coef_u) > np.abs(coef_s) / zeta))
+    # a sample counts only if some check of it tested a cone
+    checked = np.zeros(n, dtype=bool)
+    checked[pairs[decided] % n] = True
     g = np.sqrt(_dot(v_total, v_total))
     used = has_total & checked & np.isfinite(g) & (g != 0.0)
     ratios = g[used] / target
     return EmpiricalReport(
         samples_total=n,
         samples_used=len(ratios),
-        inconclusive=n - len(ratios),
         min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
         cone_checks=cone_checks,
         cone_hits=cone_hits,
-        cone_undecided=undecided,
-        singular_radius=singular_radius,
+        cone_undecided=len(pairs) - cone_checks,
         per_sample_ratios=ratios,
     )

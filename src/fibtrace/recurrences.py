@@ -60,7 +60,6 @@ class RecurrenceRun:
     (S,) bool flags; a single run holds (N + 1,) sequences and bools.
     """
 
-    params: RecurrenceParams
     n: int
     small: np.ndarray
     large: np.ndarray
@@ -86,7 +85,7 @@ def _run(p: RecurrenceParams, N: int, d: np.ndarray, D: np.ndarray) -> Recurrenc
     # crossover at all this holds vacuously
     ahead = sqd * D > d
     return RecurrenceRun(
-        params=p, n=N, small=d, large=D,
+        n=N, small=d, large=D,
         tail_bound_ok=flag(d[..., N] <= 2.0 * sqd * D[..., N]),
         growth_bound_ok=flag(
             (D[..., N] >= target)

@@ -166,17 +166,18 @@ def _jacobi_eigvalsh(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     before it calls dsterf.  So dsterf on copies of (d, e), scaled as
     dsyevd scales them, gives the same bits in O(m^2) time and O(m)
     memory.  Where numpy's LAPACK has no dsterf to call, the dense matrix
-    goes to eigvalsh.
+    goes to eigvalsh.  An off-diagonal of the wrong length is refused on
+    either path.
     """
     m = len(d)
+    if len(e) != max(m - 1, 0):
+        raise ValueError(f"a Jacobi matrix of order {m} has {max(m - 1, 0)} "
+                         f"off-diagonal entries, not {len(e)}")
     if _DSTERF is None:
         block = np.zeros((m, m))
         block.flat[::m + 1] = d
         block.flat[1::m + 1] = block.flat[m::m + 1] = e
         return np.linalg.eigvalsh(block)
-    if len(e) != max(m - 1, 0):
-        raise ValueError(f"a Jacobi matrix of order {m} has {max(m - 1, 0)} "
-                         f"off-diagonal entries, not {len(e)}")
     top = max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0))
     sigma = _RMAX / top if m > 1 and top > _RMAX else 1.0
     # float64 copies, which dsterf overwrites

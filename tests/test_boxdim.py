@@ -186,9 +186,7 @@ def test_local_dimension_window():
 
 
 def test_residual_flag():
-    est = boxdim.DimensionEstimate(
-        value=0.5, scale_range=(0.1, 0.01), regression_residual=0.2, counts=[]
-    )
+    est = boxdim.DimensionEstimate(value=0.5, regression_residual=0.2, counts=[])
     assert est.flagged
 
 

@@ -15,7 +15,7 @@ def test_singular_eigenvalues_exact():
     assert abs(e.eigenvalues[0] - MU**2) < 1e-10
     # eigenvectors actually diagonalize the matrix
     for val, vec in zip(e.eigenvalues, e.eigenvectors.T):
-        assert np.allclose(e.matrix @ vec, val * vec, atol=1e-12)
+        assert np.allclose(certify.DT_SINGULAR @ vec, val * vec, atol=1e-12)
 
 
 def test_cone_membership():
@@ -48,19 +48,17 @@ def test_cone_membership_does_not_depend_on_scale():
 def test_model_map_audit_and_plane_invariance():
     # make_model_map's proved bound, in place of the sampled audit it made:
     # ||Df - A|| <= (3 sqrt 3 / 8) delta on the box |p_i| <= 2, whatever
-    # the phases
+    # the phases; the map's steps are _push_formula's bit for bit (see
+    # test_pushes_are_pinned_to_the_formula)
     for delta in (1e-3, 1e-2, 0.5, 2.0):
         for seed in range(4):
             m = certify.make_model_map(delta=delta, seed=seed)
-            pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 10000))
-            dev = np.moveaxis(m.jacobian(pts), -1, 0) - m.linear
-            norms = np.linalg.norm(dev, ord=2, axis=(-2, -1))
+            pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (10000, 3))
+            norms = np.linalg.norm(_deviation(m, pts), ord=2, axis=(-2, -1))
             assert norms.max() <= 3.0 * np.sqrt(3.0) / 8.0 * delta
             assert norms.max() > 0.3 * delta
-            pts[2] = 0.0
-            assert np.all(m(pts)[2] == 0.0)
-    m = certify.make_model_map(delta=1e-3, seed=0)
-    assert m([0.3, -0.7, 0.0])[2] == 0.0
+            pts[:, 2] = 0.0
+            assert np.all(_push_formula(m, pts, pts)[0][:, 2] == 0.0)
 
 
 def test_model_map_rejects_bad_params():
@@ -218,7 +216,7 @@ def test_model_map_audit_value_is_pinned():
     # the 2000 points it drew with rng 1, so the map's phases are unchanged
     m = certify.make_model_map(delta=1e-3, seed=0)
     pts = np.random.default_rng(1).uniform(-2.0, 2.0, (2000, 3))
-    dev = np.moveaxis(m.jacobian(pts.T), -1, 0) - m.linear
+    dev = _deviation(m, pts)
     worst = np.linalg.norm(dev, ord=2, axis=(-2, -1)).max()
     assert worst == pytest.approx(0.0004083036591343811, rel=1e-12)
 
@@ -233,7 +231,7 @@ def test_audit_norms_match_the_svd_norm(delta, seed):
     m = certify.make_model_map(delta=delta, seed=seed)
     pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (10000, 3))
     pts[:500, 2] = 0.0  # rank <= 1: only the z-column is left
-    dev = np.moveaxis(m.jacobian(pts.T), -1, 0) - m.linear
+    dev = _deviation(m, pts)
     ref = np.linalg.norm(dev, ord=2, axis=(-2, -1))
     assert np.all(dev[:500, :, :2] == 0.0)
     column = np.linalg.norm(dev[:500, :, 2], axis=-1)
@@ -250,6 +248,7 @@ def test_audit_norms_match_the_svd_norm(delta, seed):
 
 
 _GRAD = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+_SCALE = np.array([1.0 / certify.LAMBDA_BIG, 1.0, certify.LAMBDA_BIG])
 
 
 def _formula_waves(m, p):
@@ -262,24 +261,38 @@ def _formula_waves(m, p):
 
 
 def _push_formula(m, p, v):
-    """f(p) and Df(p) v as ModelMap.push computed them term by term."""
+    """f(p) and Df(p) v of (n, 3) rows, written term by term as
+    ``ModelMap._step`` computes them."""
     waves, slopes = _formula_waves(m, p)
     s = m.delta / 8.0
-    scale = np.array([1.0 / certify.LAMBDA_BIG, 1.0, certify.LAMBDA_BIG])
-    pushed = v * scale
+    pushed = v * _SCALE
     pushed += (s * p[..., 2:3]) * slopes * (v @ _GRAD.T)
     pushed += s * waves * v[..., 2:3]
-    return p * scale + (m.delta / 8.0) * p[..., 2:3] * waves, pushed
+    return p * _SCALE + (m.delta / 8.0) * p[..., 2:3] * waves, pushed
+
+
+def _jacobian_formula(m, p):
+    """Df at (n, 3) rows p, as (n, 3, 3): column j is Df e_j."""
+    return np.stack([_push_formula(m, p, np.broadcast_to(e, p.shape))[1]
+                     for e in np.eye(3)], axis=-1)
+
+
+def _deviation(m, p):
+    """Df - A at (n, 3) rows p."""
+    return _jacobian_formula(m, p) - np.diag(_SCALE)
 
 
 @pytest.mark.parametrize("delta, seed", [(1e-3, 8), (1e-2, 9), (0.0, 10)])
 def test_pushes_are_pinned_to_the_formula(delta, seed):
-    # 240 steps of 400 rows, as one model job makes them
+    # 240 steps of 400 rows, as one model job makes them, each taking the
+    # sines of its wave arguments afresh
     m = certify.make_model_map(delta=delta, seed=seed)
     P, V = _cone_batch(np.random.default_rng(seed), 400)
     q, w, q_ref, w_ref = P.T, V.T, P, V
+    args, out = np.empty((6, 400)), np.empty((10, 400))
     for _ in range(240):
-        q, w = m.push(q, w)
+        m._step(q, w, np.sin(m._arguments(q, args)), out)
+        q, w = out[:3].copy(), out[3:6].copy()
         q_ref, w_ref = _push_formula(m, q_ref, w_ref)
         assert np.array_equal(q.T, q_ref) and np.array_equal(w.T, w_ref)
         # the certificate's plain norms of the columns are the rows' norms
@@ -289,25 +302,14 @@ def test_pushes_are_pinned_to_the_formula(delta, seed):
     assert np.all(np.isfinite(q)) and np.any(q[2] > 1.0)
 
 
-def test_model_map_accepts_point_arrays():
-    # coordinate first: a (3,) point or a (3, n) array of columns
+def test_push_formula_differential_matches_finite_differences():
     m = certify.make_model_map(delta=1e-2, seed=7)
-    pts = np.random.default_rng(22).uniform(-1, 1, size=(3, 5))
-    assert m(pts[:, 0]).shape == (3,) and m.jacobian(pts[:, 0]).shape == (3, 3)
-    images, jacs = m(pts), m.jacobian(pts)
-    assert images.shape == (3, 5) and jacs.shape == (3, 3, 5)
+    pts = np.random.default_rng(22).uniform(-1, 1, size=(5, 3))
     h = 1e-6
-    for p, image, jac in zip(pts.T, images.T, np.moveaxis(jacs, -1, 0)):
-        assert np.array_equal(image, m(p))
-        assert np.array_equal(jac, m.jacobian(p))
-        fd = np.column_stack(
-            [(m(p + h * e) - m(p - h * e)) / (2 * h) for e in np.eye(3)]
-        )
-        assert np.allclose(jac, fd, atol=1e-8)
-    v = np.random.default_rng(23).normal(size=(3, 5))
-    pushed_p, pushed_v = m.push(pts, v)
-    assert np.array_equal(pushed_p, images)
-    assert np.allclose(pushed_v, np.einsum("ijn,jn->in", jacs, v))
+    fd = np.stack([(_push_formula(m, pts + h * e, pts)[0]
+                    - _push_formula(m, pts - h * e, pts)[0]) / (2 * h)
+                   for e in np.eye(3)], axis=-1)
+    assert np.allclose(_jacobian_formula(m, pts), fd, atol=1e-8)
 
 
 def test_batch_orbit_growth_flags_are_per_row(monkeypatch):

@@ -394,7 +394,8 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
     """The earlier per-step engine: every sample stepped by trace_step,
     with the frames, seeds and cone test computed at each step on the
     rows seeded or checked there; a check where the frame is exactly 0
-    is undecided.  Returns the report and the number of re-seedings
+    is undecided, and a sample counts as checked only through a decided
+    check.  Returns the report and the number of re-seedings
     (seeds of rows carried before)."""
     inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
     target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
@@ -439,19 +440,17 @@ def _reference_certify_points(pts, n_forward, epsilon, zeta, singular_radius):
             cone_undecided += int(np.count_nonzero(~decided))
             hit = decided & (np.abs(coef_u) > np.abs(coef_s) / zeta)
             cone_hits += int(np.count_nonzero(hit))
-            checked[check] = True
+            checked[check[decided]] = True
     g = np.linalg.norm(v_total, axis=-1)
     used = has_total & checked & np.isfinite(g) & (g != 0.0)
     ratios = g[used] / target
     rep = empirical.EmpiricalReport(
         samples_total=n,
         samples_used=len(ratios),
-        inconclusive=n - len(ratios),
         min_expansion_ratio=float(ratios.min()) if len(ratios) else np.nan,
         cone_checks=cone_checks,
         cone_hits=cone_hits,
         cone_undecided=cone_undecided,
-        singular_radius=singular_radius,
         per_sample_ratios=ratios,
     )
     return rep, reseeds
@@ -501,6 +500,11 @@ def test_checks_at_a_vertex_shadow_are_undecided():
     assert (rep.cone_checks, rep.cone_hits) == (base.cone_checks, base.cone_hits)
     assert rep.cone_undecided == base.cone_undecided + len(corner)
     assert rep.cone_invariance_fraction == base.cone_invariance_fraction
+    # a sample whose only check was undecided has shown no expansion
+    # along a cone, and is inconclusive
+    assert (rep.samples_used, rep.min_expansion_ratio) == (
+        base.samples_used, base.min_expansion_ratio)
+    assert rep.inconclusive == base.inconclusive + len(corner)
 
 
 def test_certificate_refuses_points_that_are_not_finite():

@@ -244,13 +244,17 @@ def _arguments_passed(paths):
     return passed
 
 
+def _program():
+    """The modules of src/fibtrace and perfbench's program modules; the
+    benchmark's own tests are not part of the program."""
+    return sorted(PACKAGE.glob("*.py")) + [
+        path for path in sorted(PERFBENCH.glob("*.py")) if not path.name.startswith("test_")]
+
+
 def test_every_defaulted_parameter_is_set_by_some_call():
     # a default that no caller overrides is a knob that does nothing, and
-    # a field default that no constructor call overrides is a placeholder;
-    # the benchmark's own tests are not callers
-    program = [path for path in sorted(PERFBENCH.glob("*.py"))
-               if not path.name.startswith("test_")]
-    passed = _arguments_passed(sorted(PACKAGE.glob("*.py")) + program)
+    # a field default that no constructor call overrides is a placeholder
+    passed = _arguments_passed(_program())
     unset = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -262,4 +266,78 @@ def test_every_defaulted_parameter_is_set_by_some_call():
              for stem, name, param in sorted(unset - UNSET_DEFAULTS.keys())]
     found += [f"UNSET_DEFAULTS names {stem}.{name}'s {param}, which is not an unset default"
               for stem, name, param in sorted(UNSET_DEFAULTS.keys() - unset)]
+    assert found == []
+
+
+#: public members of public classes that nothing in src/fibtrace or
+#: perfbench's program modules reads, kept on purpose
+UNREAD_MEMBERS = {
+    ("certify", "SingularEigenData", "eigenvalues"):
+        "the spectrum of the singular differential, which criterion 04 checks",
+    ("empirical", "EmpiricalReport", "per_sample_ratios"):
+        "every used sample's ratio, which the whole-array engine tests pin bit for bit",
+}
+
+
+def _members(cls):
+    """Names of the public methods, properties and annotated fields of a class."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+def _strings(node):
+    """The strings of a string constant or of a literal tuple or list."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
+    return [e.value for e in elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
+def _attributes_read(tree):
+    """Every attribute a module loads, and every name it passes to
+    ``getattr``: a string, or each string of the literal tuple or list,
+    given in place or by a name assigned it, that the name is looped over."""
+    literals, loops = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Assign):
+            literals.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+            loops.setdefault(node.target.id, []).append(node.iter)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) > 1):
+            continue
+        name = node.args[1]
+        for source in loops.get(name.id, []) if isinstance(name, ast.Name) else [name]:
+            if isinstance(source, ast.Name):
+                source = literals.get(source.id, source)
+            yield from _strings(source)
+
+
+def test_every_public_member_has_a_reader():
+    # a method, property or field that the program never reads is code or
+    # state that only the tests reach; cli is a program, not an API
+    read = {name for path in _program()
+            for name in _attributes_read(ast.parse(path.read_text(), str(path)))}
+    members = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        public = set(_declared_all(tree) or ())
+        members |= {(path.stem, node.name, name) for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name in public
+                    for name in _members(node)}
+    unread = {member for member in members if member[2] not in read}
+    found = [f"{stem}.{cls}.{name} has no reader in the program"
+             for stem, cls, name in sorted(unread - UNREAD_MEMBERS.keys())]
+    found += [f"UNREAD_MEMBERS names {stem}.{cls}.{name}, which is read or is not "
+              "a public member" for stem, cls, name in sorted(UNREAD_MEMBERS.keys() - unread)]
     assert found == []

@@ -187,13 +187,19 @@ def test_a_failed_dsterf_raises_and_the_cli_exits_3(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(spectrum, "_DSTERF", lambda n, d, e: 1)
     with pytest.raises(ArithmeticError, match="info = 1"):
         spectrum._level_bands(5, 1.0)
-    # no pointer goes out with an off-diagonal of the wrong length
-    with pytest.raises(ValueError, match="order 3 has 2 off-diagonal entries, not 3"):
-        spectrum._jacobi_eigvalsh(np.zeros(3), np.ones(3))
     out = tmp_path / "spec.json"
     assert cli.main(["spectrum", "--out", str(out), "--set", "coupling=1"]) == 3
     assert "dsterf failed with info = 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dsterf", [lambda n, d, e: 1, None], ids=["dsterf", "dense"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_an_off_diagonal_of_the_wrong_length_is_refused(monkeypatch, dsterf, size):
+    # no pointer goes out to dsterf, and no dense matrix broadcasts e
+    monkeypatch.setattr(spectrum, "_DSTERF", dsterf)
+    with pytest.raises(ValueError, match=f"order 3 has 2 off-diagonal entries, not {size}"):
+        spectrum._jacobi_eigvalsh(np.zeros(3), np.ones(size))
 
 
 @needs_dsterf
