@@ -95,7 +95,8 @@ def cone_member_3d(v, z_p) -> bool | np.ndarray:
 #: of the arguments (a, a) shifted by these, held as a column
 _WAVE_SHIFTS = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]) * (np.pi / 2.0)
 #: the diagonal of the linear part diag(1/lambda, 1, lambda), as a column
-_SCALE = np.array([[1.0 / LAMBDA_BIG], [1.0], [LAMBDA_BIG]])
+#: for the three point rows and the three vector rows of a model state
+_SCALE = np.array([[1.0 / LAMBDA_BIG], [1.0], [LAMBDA_BIG]] * 2)
 
 
 def _sum_squares(w: np.ndarray) -> np.ndarray:
@@ -136,9 +137,10 @@ class ModelMap:
     seeds give distinct maps.  ``delta`` bounds ||Df - A|| over the
     working box, and C1 = 1 holds only for 0 <= delta <= 2, so any other
     delta is refused (see ``make_model_map``).  ``expansion_certificates``
-    steps it by ``_step``, the one formula for f and Df, on points and
-    vectors held coordinate first as (3, n) columns.  The wave shifts
-    are computed once, when the map is made.
+    steps it by ``_step``, the one formula for f and Df, on a (6, n)
+    state: points in rows 0 to 2 and vectors in rows 3 to 5, each
+    column one point and its vector.  The wave shifts are computed
+    once, when the map is made.
     """
 
     delta: float
@@ -147,52 +149,59 @@ class ModelMap:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 2.0:
             raise ValueError(f"delta must be in [0, 2], got {self.delta}")
-        # the six shifts of the wave arguments, as a column
-        self._shifts = np.concatenate([self.phases, self.phases])[:, None] + _WAVE_SHIFTS
+        # the six shifts of the wave arguments, as two (3, 1) columns
+        self._shifts = (np.concatenate([self.phases, self.phases])[:, None]
+                        + _WAVE_SHIFTS).reshape(2, 3, 1)
 
     def _arguments(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The six wave arguments (a, a) + shifts of (3, n) points p,
-        written into the (6, n) buffer out and returned."""
-        np.add(p[0], p[1], out=out[0])
-        np.subtract(p[0], p[1], out=out[1])
-        out[2] = p[0]
-        out[3:] = out[:3]
-        out += self._shifts
+        written into rows 3 to 8 of the (9, n) buffer out, whose rows 0
+        to 2 take a, and returned as a (6, n) view."""
+        a, args = out[:3], out[3:]
+        np.add(p[0], p[1], out=a[0])
+        np.subtract(p[0], p[1], out=a[1])
+        a[2] = p[0]
+        np.add(a, self._shifts, out=args.reshape(2, 3, -1))
+        return args
+
+    def _sines(self, args: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The sines of the six wave arguments args into rows 0 to 5 of
+        the (9, n) buffer out, waves (sin a0, cos a1, sin a2) then slopes
+        (cos a0, sin a1, cos a2), and (delta/8) waves into rows 6 to 8;
+        returns out."""
+        np.sin(args, out=out[:6])
+        np.multiply(self.delta / 8.0, out[:3], out=out[6:])
         return out
 
-    def _step(self, p: np.ndarray, v: np.ndarray, sines: np.ndarray,
-              out: np.ndarray) -> None:
-        """f(p) into out[:3] and Df(p) v into out[3:6], for (3, n) points
-        p and vectors v, given the sines of p's wave arguments
-        (``_arguments``): waves (sin a0, cos a1, sin a2), then slopes
-        (cos a0, sin a1, cos a2).
+    def _step(self, state: np.ndarray, sines: np.ndarray, out: np.ndarray) -> None:
+        """f(p) into out[:3] and Df(p) v into out[3:6], for the (6, n)
+        state of points p and vectors v, given the ``_sines`` of p's wave
+        arguments (``_arguments``).
 
-        out is a (10, n) buffer that overlaps none of p, v and sines;
-        its rows 6 to 9 are scratch.  Df v = A v + (delta/8) (z slopes *
+        out is a (16, n) buffer that overlaps neither state nor sines;
+        its rows 6 to 15 are scratch.  Df v = A v + (delta/8) (z slopes *
         (G v) + waves v_z), where the rows of G, the gradients of the
         wave arguments signed so that wave i's derivative is slope i
         times row i, are (1, 1, 0), (-1, 1, 0) and (1, 0, 0).  The
         products associate as ((delta/8) z) slopes (G v) and
         ((delta/8) waves) v_z, and f(p) = A p + ((delta/8) z) waves.
+        Each sum is A p or A v plus the z-terms in the order written:
+        a + b and b + a are the same bits, and nothing is regrouped.
         """
-        waves, slopes = sines[:3], sines[3:]
-        image, pushed, term, sz = out[:3], out[3:6], out[6:9], out[9]
-        s = self.delta / 8.0
-        np.multiply(s, p[2], out=sz)
+        v = state[3:]
+        sz, szs, term = out[6], out[7:13], out[13:]
+        np.multiply(self.delta / 8.0, state[2], out=sz)
+        # ((delta/8) z) waves for f, and ((delta/8) z) slopes for Df
+        np.multiply(sz, sines[:6], out=szs)
         # G v
         np.add(v[0], v[1], out=term[0])
         np.subtract(v[1], v[0], out=term[1])
         term[2] = v[0]
-        np.multiply(sz, slopes, out=pushed)
-        pushed *= term
-        np.multiply(v, _SCALE, out=term)
-        pushed += term
-        np.multiply(s, waves, out=term)
-        term *= v[2]
-        pushed += term
-        np.multiply(p, _SCALE, out=image)
-        np.multiply(sz, waves, out=term)
-        image += term
+        szs[3:] *= term
+        np.multiply(state, _SCALE, out=out[:6])
+        out[:6] += szs
+        np.multiply(sines[6:], v[2], out=term)
+        out[3:6] += term
 
 
 def make_model_map(delta: float = 1e-3, seed: int | None = None) -> ModelMap:
@@ -248,6 +257,14 @@ def sample_cone_vectors_3d(z_p, rng=None) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _step_buffers(n: int):
+    """Scratch of one step of ``expansion_certificates`` on n rows: the
+    next state with ``ModelMap._step``'s scratch, the wave arguments,
+    the squares and growths of the vectors, and the dip mask."""
+    return (np.empty((16, n)), np.empty((9, n)), np.empty((3, n)),
+            np.empty(n), np.empty(n, dtype=bool))
+
+
 def expansion_certificates(m: ModelMap, P, V) -> ExpansionReport:
     """Push cone vectors V at points P to their exit times, all together.
 
@@ -255,21 +272,29 @@ def expansion_certificates(m: ModelMap, P, V) -> ExpansionReport:
     in the Euclidean norm: growth by lambda^((N/2)(1-4 eps)) at exit,
     final tilt |u_xy| < 2 sqrt(delta) |u_z|, and, when the start already
     has |v_z| >= eta |v_xy|, growth by (eta/2) lambda^((k/2)(1-4 eps)) at
-    every intermediate step.  Only rows that have not exited are
-    stepped, held coordinate first as (3, n) columns, until the last one
-    exits.  Each step is ``ModelMap._step`` into preallocated buffers,
-    and it takes the sines of the six wave arguments only when these
-    differ bitwise from the last step's; otherwise it reuses the last
+    every intermediate step.  Returns one report whose fields hold every
+    row.
+
+    Only rows that have not exited are stepped, until the last one
+    exits.  Their points and vectors are one (6, n) state, in the first
+    rows of one of two (16, n) buffers: each step is ``ModelMap._step``
+    from the one into the other, and the two swap.  A step takes the
+    sines of the six wave arguments only when these differ bitwise from
+    those the last sines were taken of; otherwise it reuses the last
     sines, which are the same bits.  Far below z = 1 most steps reuse
     them: x has shrunk below half an ulp of y and of the phases, and
     (delta/8) z below half an ulp of y.  Each start vector is first
     scaled by the exact power of two that brings its largest
     |component| into [1/2, 1), as ``cone_member_3d`` scales it, so that
     its norm cannot underflow; a unit vector is scaled by 1 or 1/2.
-    Norms whose squares overflow are taken scaled by the row's largest
-    |component| (``_norms``); a pushed vector whose growth is still not
-    finite, as when its components overflow, raises ValueError.  Returns
-    one report whose fields hold every row.
+    Each growth is the vector's squares, added in coordinate order by
+    ``np.add.reduce`` over the rows, then a square root and a division,
+    the bits of ``_norms``.  Where a growth is not finite the norms are
+    taken again by ``_norms``, scaled by the row's largest |component|
+    where the squares overflow; a growth still not finite, as when the
+    components overflow, raises ValueError.  On an exit the state, the
+    sines and the per-row flags are compacted, and the scratch buffers
+    are made anew.
 
     Every row exits or raises.  The z-row z (lambda + (delta/8) sin a2)
     with 0 <= delta <= 2 gives z_{k+1} >= (lambda - 1/4) z_k, whatever
@@ -303,35 +328,43 @@ def expansion_certificates(m: ModelMap, P, V) -> ExpansionReport:
     w_exit = np.zeros((3, n))
     grew = np.zeros(n, dtype=bool)  # growth at exit met the bound
     dipped = np.zeros(n, dtype=bool)  # growth fell below the eta bound
-    # the rows still stepping, their starting norms and dips, and in
-    # cols their points and vectors (rows 0-5), the wave arguments of
-    # their last step (6-11) and the sines of those (12-17), all
-    # compacted as rows exit; sin 0 = 0, so the sines are those of the
-    # arguments from the start
+    # the rows still stepping, their starting norms and dips, their
+    # state (rows 0-5 of state), and the sines of the wave arguments
+    # whose bytes are last, all compacted as rows exit
     active = np.arange(n)
     dip = np.zeros(n, dtype=bool)
-    cols = np.zeros((18, n))
-    cols[:3], cols[3:6] = P.T, V.T
-    args, out = np.empty((6, n)), np.empty((10, n))
+    state = np.empty((16, n))
+    state[:3], state[3:6] = P.T, V.T
+    sines = np.empty((9, n))
+    last = None
+    nxt, args, sq, g, low = _step_buffers(n)
     # overflow shows as a growth that is not finite, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        v_xy0 = _norms(cols[3:5])
-        v0_norm = _norms(cols[3:6])
+        v_xy0 = _norms(state[3:5])
+        v0_norm = _norms(state[3:6])
         k = 0
         while len(active):
             k += 1
-            q, w, last, sines = cols[:3], cols[3:6], cols[6:12], cols[12:]
-            if m._arguments(q, args).tobytes() != last.tobytes():
-                last[...] = args
-                np.sin(args, out=sines)
-            m._step(q, w, sines, out)
-            cols[:6] = out[:6]
-            g = _norms(w) / v0_norm
-            if not np.isfinite(g).all():
-                raise ValueError(f"pushed vector norm overflowed at step {k}")
+            a = m._arguments(state[:3], args)
+            key = a.tobytes()
+            if key != last:
+                last = key
+                m._sines(a, sines)
+            m._step(state[:6], sines, nxt)
+            state, nxt = nxt, state
+            w = state[3:6]
+            np.multiply(w, w, out=sq)
+            np.add.reduce(sq, axis=0, out=g)
+            np.sqrt(g, out=g)
+            g /= v0_norm
+            if not g.max() < np.inf:
+                np.divide(_norms(w), v0_norm, out=g)
+                if not np.isfinite(g).all():
+                    raise ValueError(f"pushed vector norm overflowed at step {k}")
             bound = rate**k
-            dip |= g < 0.5 * _ETA * bound
-            exited = q[2] > 1.0
+            np.less(g, 0.5 * _ETA * bound, out=low)
+            dip |= low
+            exited = state[2] > 1.0
             if exited.any():
                 done = active[exited]
                 exit_time[done] = k
@@ -339,9 +372,10 @@ def expansion_certificates(m: ModelMap, P, V) -> ExpansionReport:
                 grew[done] = g[exited] >= bound
                 dipped[done] = dip[exited]
                 keep = ~exited
-                active, cols = active[keep], cols[:, keep]
+                active, state, sines = active[keep], state[:, keep], sines[:, keep]
                 v0_norm, dip = v0_norm[keep], dip[keep]
-                args, out = args[:, keep], out[:, keep]
+                last = a[:, keep].tobytes()
+                nxt, args, sq, g, low = _step_buffers(len(active))
         u_xy = _norms(w_exit[:2])
     u_z = np.abs(w_exit[2])
     if m.delta > 0.0:

@@ -340,8 +340,12 @@ def _certify_points(
     points, the torus frames and the unit seed vectors.  The step loop
     then only seeds, resets and transports the carried vectors and
     records which (step, row) pairs are checked; the cone test runs
-    once, on every recorded pair.  Point j of the window, j = k n + i,
-    is T^k of sample i (see ``_window_points``).
+    once, on every recorded pair.  The two vectors a row carries, the
+    one reset in the singular neighborhoods and the one carried over
+    the whole window, are one (3, 2, n) array that one
+    ``_tangent_step`` call steps; seeds and resets are ``np.copyto``
+    under masks made once.  Point j of the window, j = k n + i, is T^k
+    of sample i (see ``_window_points``).
     """
     frame = singular_eigen().eigenvectors
     inv_frame = np.linalg.inv(frame)
@@ -375,25 +379,31 @@ def _certify_points(
     # the carried vector v is dropped inside every singular neighborhood
     # and re-seeded on exit, mirroring how the orbit is split into
     # segments between near-singular passages; v_total is transported
-    # over the whole window from the first seeding, for the ratio
-    v = np.zeros((3, n))
-    v_total = np.zeros((3, n))
-    has_v = np.zeros(n, dtype=bool)
+    # over the whole window from the first seeding, for the ratio.  Both
+    # are held in one (3, 2, n) array, v then v_total, and stepped by one
+    # call
+    pair = np.zeros((3, 2, n))
     has_total = np.zeros(n, dtype=bool)
+    seed, first = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    near = ~far[:-1]
     carried = np.zeros((3, n_forward, n))  # v after each step
-    held = np.zeros((n_forward, n), dtype=bool)  # has_v after each step
+    # free[k + 1]: the rows that carry no v through step k
+    free = np.ones((n_forward + 1, n), dtype=bool)
     for k in range(n_forward):
-        seed = seedable[k] & ~has_v
-        v[:, seed] = unit[:, k, seed]
-        first = seed & ~has_total
-        v_total[:, first] = unit[:, k, first]
+        np.logical_and(seedable[k], free[k], out=seed)
+        np.copyto(pair[:, 0], unit[:, k], where=seed)
+        np.greater(seed, has_total, out=first)
+        np.copyto(pair[:, 1], unit[:, k], where=first)
         has_total |= first
-        has_v = (has_v | seed) & far[k]
-        v[:, ~has_v] = 0.0
-        v = _tangent_step(two_x[k], two_y[k], v)
-        v_total = _tangent_step(two_x[k], two_y[k], v_total)
-        carried[:, k] = v
-        held[k] = has_v
+        # seeds are free rows at far points: free & ~seed is free != seed,
+        # and no seed is reset
+        np.not_equal(free[k], seed, out=free[k + 1])
+        free[k + 1] |= near[k]
+        np.copyto(pair[:, 0], 0.0, where=free[k + 1])
+        pair = _tangent_step(two_x[k], two_y[k], pair)
+        carried[:, k] = pair[:, 0]
+    held = ~free[1:]  # a v carried through each step
+    v_total = pair[:, 1]
     # the vector sample i carried through step k is checked at window
     # point (k + 1) n + i, a far point, whose frame is the column of
     # u_far and s_far at its rank in at

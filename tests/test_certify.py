@@ -288,11 +288,12 @@ def test_pushes_are_pinned_to_the_formula(delta, seed):
     # sines of its wave arguments afresh
     m = certify.make_model_map(delta=delta, seed=seed)
     P, V = _cone_batch(np.random.default_rng(seed), 400)
-    q, w, q_ref, w_ref = P.T, V.T, P, V
-    args, out = np.empty((6, 400)), np.empty((10, 400))
+    state, q_ref, w_ref = np.concatenate([P.T, V.T]), P, V
+    args, sines, out = np.empty((9, 400)), np.empty((9, 400)), np.empty((16, 400))
     for _ in range(240):
-        m._step(q, w, np.sin(m._arguments(q, args)), out)
-        q, w = out[:3].copy(), out[3:6].copy()
+        m._step(state, m._sines(m._arguments(state[:3], args), sines), out)
+        state = out[:6].copy()
+        q, w = state[:3], state[3:]
         q_ref, w_ref = _push_formula(m, q_ref, w_ref)
         assert np.array_equal(q.T, q_ref) and np.array_equal(w.T, w_ref)
         # the certificate's plain norms of the columns are the rows' norms
@@ -386,6 +387,36 @@ def _reference_certificates(m, P, V, epsilon=0.1, eta=0.5):
         thin_cone_ok=thin,
         expansion_along_orbit_ok=~(eta_start & dipped),
     )
+
+
+def test_the_fastest_map_exits_when_the_row_engine_does():
+    # delta = 2 and a2 = x + pi/2: from x = 0 the wave sin a2 is 1, so z
+    # grows by nearly lambda + 1/4 each step, the most any model map
+    # allows, and the rows exit at the earliest steps they can.  The
+    # reference engine tests every row at every step
+    m = certify.ModelMap(delta=2.0, phases=np.array([0.0, 0.0, np.pi / 2.0]))
+    rng = np.random.default_rng(31)
+    z0 = np.concatenate([2.0 ** -rng.uniform(1.0, 1022.0, 200),
+                         [2.0**-1022, 2.0**-1023, 1e-310, 3e-323, 5e-324]])
+    P = np.column_stack([np.zeros((len(z0), 2)), z0])
+    V = certify.sample_cone_vectors_3d(z0, rng)
+    ref = _reference_certificates(m, P, V)
+    got = [certify.expansion_certificate(m, p, v).exit_time for p, v in zip(P, V)]
+    assert got == ref.exit_time.tolist()
+    # the exits land just past log(1/z_0) / log(lambda + 1/4)
+    late = ref.exit_time[:200] + np.log(z0[:200]) / np.log(certify.LAMBDA_BIG + 0.25)
+    assert late.min() < 0.01 and late.max() < 1.0
+    # a row that exits at once beside rows that step on: the row at 0.9
+    # leaves the batch first, and the rest step on in made-anew buffers
+    P = np.column_stack([rng.uniform(-1.0, 1.0, (8, 2)), [0.9] + [1e-100] * 7])
+    P[1:, 2] *= rng.uniform(0.5, 2.0, 7)
+    V = certify.sample_cone_vectors_3d(P[:, 2], rng)
+    got, ref = certify.expansion_certificates(m, P, V), _reference_certificates(m, P, V)
+    for name, col in vars(ref).items():
+        assert np.array_equal(vars(got)[name], col), name
+    assert got.exit_time[0] == 1 and got.exit_time[1:].min() > 200
+    empty = certify.expansion_certificates(m, np.empty((0, 3)), np.empty((0, 3)))
+    assert all(np.shape(col) == (0,) for col in vars(empty).values())
 
 
 @pytest.mark.parametrize("n0, fresh", [(1, True), (200, False)])
