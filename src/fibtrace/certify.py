@@ -73,12 +73,13 @@ def singular_eigen() -> SingularEigenData:
     return SingularEigenData(eigenvalues=vals, eigenvectors=vecs)
 
 
-def cone_member_3d(v, z_p) -> bool | np.ndarray:
+def cone_member_3d(v, z_p) -> np.ndarray:
     """Membership in the cone |v_z| >= C2 sqrt(|z_p|) |v_xy|, C2 = 1.
 
     The boundary counts as inside: the defining inequality is non-strict.
     Accepts (..., 3) vectors with matching (...) heights z_p, each scaled
-    exactly by the power of two that brings its largest |component| near 1.
+    exactly by the power of two that brings its largest |component| near 1,
+    and gives numpy's (...) bool result.
     """
     v = np.asarray(v, dtype=float)
     top = np.max(np.abs(v), axis=-1)
@@ -86,8 +87,7 @@ def cone_member_3d(v, z_p) -> bool | np.ndarray:
         raise ValueError("zero vector has no cone membership")
     v = np.ldexp(v, -np.frexp(top)[1][..., None])
     v_xy = np.linalg.norm(v[..., :2], axis=-1)
-    r = np.abs(v[..., 2]) >= np.sqrt(np.abs(z_p)) * v_xy
-    return bool(r) if np.ndim(r) == 0 else r
+    return np.abs(v[..., 2]) >= np.sqrt(np.abs(z_p)) * v_xy
 
 
 #: the map's three waves sin a0, cos a1, sin a2 and their slopes

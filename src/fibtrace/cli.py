@@ -11,7 +11,8 @@ the value every field resolved to, the seed and the toolkit version;
 spectral outputs also record the level their cover reached.
 
 Exit codes: 0 success (inconclusive certificates included), 2 config
-error, 3 runtime numeric failure or out of memory.
+error or an output file that cannot be written, 3 runtime numeric
+failure or out of memory.
 """
 
 from __future__ import annotations
@@ -272,18 +273,16 @@ def cmd_certify(p: dict, out: str, seed: int | None) -> dict:
         slack = rng.random((schedules, 2, N))
         slack *= np.array([[0.3], [0.2]])
         slack = slack.transpose(0, 2, 1)
-        aa_pass = 0
-        if schedules:
-            runs = recurrences.run_aA(params, N, slack_schedule=slack)
-            # zero slack: the exact run from the schedules' shared start A_0
-            ref = recurrences.run_aA(params, N)
-            ok = runs.passed & recurrences.dominates(runs, ref)
-            aa_pass = int(np.count_nonzero(ok))
+        runs = recurrences.run_aA(params, N, slack_schedule=slack)
+        # zero slack: the exact run from the schedules' shared start A_0
+        ref = recurrences.run_aA(params, N, np.zeros((1, N, 2)))
+        ok = runs.passed & recurrences.dominates(runs, ref)
+        aa_pass = int(np.count_nonzero(ok))
         flags = ("tail_bound_ok", "growth_bound_ok", "stepwise_growth_ok",
                  "stepwise_small_ok", "dichotomy_ok")
         return {"report": {
             "kind": "recurrence", "N": N, "delta": _fmt(params.delta),
-            **{flag: getattr(run, flag) for flag in flags},
+            **{flag: bool(getattr(run, flag)[0]) for flag in flags},
             "slack_schedules": schedules, "slack_schedules_passed": aa_pass,
         }}
     if p["kind"] == "model":
@@ -387,8 +386,22 @@ def main(argv=None) -> int:
     try:
         params = _resolve(args.command, _load_config(args.config, args.overrides))
         result = COMMANDS[args.command](params, args.out, args.seed)
+        config = {key: _record(val) for key, val in params.items()}
+        if args.seed is not None:
+            config["seed"] = str(args.seed)
+        meta = {"tool": "fibtrace", "version": __version__, "command": args.command}
+        payload = {**meta, "config": config, **result}
+        with open(args.out, "w") as fh:
+            # compact, so json uses its C encoder; indent=2 falls back to Python
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # only the output files are opened here: a config file that
+        # cannot be read is a ConfigError
+        print(f"output error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -396,14 +409,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    config = {key: _record(val) for key, val in params.items()}
-    if args.seed is not None:
-        config["seed"] = str(args.seed)
-    meta = {"tool": "fibtrace", "version": __version__, "command": args.command}
-    payload = {**meta, "config": config, **result}
-    with open(args.out, "w") as fh:
-        # compact, so json uses its C encoder; indent=2 falls back to Python
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 

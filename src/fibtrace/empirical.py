@@ -27,6 +27,7 @@ ratios are those of the row-major (m, 3) engine bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,18 @@ def sample_bounded_points(
 _TORUS_FRAME = -2.0 * np.pi * np.array([torus.V_U, torus.V_S])
 #: offsets, in rows of a trace_orbit array, of a window point's x, y, z
 _LAGS = np.array([[2], [1], [0]])
+
+
+@lru_cache(maxsize=None)
+def _inv_frame() -> np.ndarray:
+    """The inverse of the singular differential's eigenvector matrix,
+    which takes an offset to a singular point into the eigenbasis frame.
+
+    The matrix is fixed, so it is inverted once, on first use rather than
+    at import: the first LAPACK call of a process grows its resident set
+    by about 1.5 MB, which commands that never call this should not pay.
+    """
+    return np.linalg.inv(singular_eigen().eigenvectors)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,20 +283,21 @@ class EmpiricalReport:
         )
 
 
-def _eigenframe_distance(p, inv_frame: np.ndarray) -> np.ndarray:
+def _eigenframe_distance(p) -> np.ndarray:
     """Distance to the nearest singular point, in the eigenbasis frame.
 
     Takes the x, y and z (m,) arrays of the points, as a (3, m) array or
     a sequence of three, and returns an (m,) array.  The offsets to the
-    four points go through one inv_frame @ (3, 4m) matmul, whose bits
-    are those of the row-major (4m, 3) @ inv_frame.T, and each norm is
-    summed a^2 + b^2 + c^2 in that order, as ``np.linalg.norm`` sums it.
+    four points go through one ``_inv_frame() @ (3, 4m)`` matmul, whose
+    bits are those of the row-major (4m, 3) @ _inv_frame().T, and each
+    norm is summed a^2 + b^2 + c^2 in that order, as ``np.linalg.norm``
+    sums it.
     """
     m = len(p[0])
     offsets = np.empty((3, 4, m))
     for coord, s, out in zip(p, singular_points().T, offsets):
         np.subtract(coord, s[:, None], out=out)
-    e = inv_frame @ offsets.reshape(3, -1)
+    e = _inv_frame() @ offsets.reshape(3, -1)
     e *= e
     r = np.sqrt(e[0] + e[1] + e[2]).reshape(4, m)
     return np.minimum(np.minimum(r[0], r[1]), np.minimum(r[2], r[3]))
@@ -347,8 +361,6 @@ def _certify_points(
     under masks made once.  Point j of the window, j = k n + i, is T^k
     of sample i (see ``_window_points``).
     """
-    frame = singular_eigen().eigenvectors
-    inv_frame = np.linalg.inv(frame)
     target = torus.MU ** (n_forward * (1.0 - 4.0 * epsilon))
     n = len(pts)
     seq = trace_orbit(pts[:, 2], pts[:, 1], pts[:, 0], n_forward)
@@ -358,7 +370,7 @@ def _certify_points(
         raise ValueError("point has non-finite coordinates")
     x, y, z = seq[2:], seq[1:-1], seq[:-2]
     far = _eigenframe_distance(
-        (x.reshape(-1), y.reshape(-1), z.reshape(-1)), inv_frame
+        (x.reshape(-1), y.reshape(-1), z.reshape(-1))
     ) >= singular_radius
     # frames are needed only where a vector is seeded or checked, and
     # both happen only on far points

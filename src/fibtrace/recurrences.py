@@ -9,12 +9,13 @@ with d_0 = 1 and (lambda + delta)^(-N/2) <= D_0 <= sqrt(b_0), and an
 inequality version (a_k, A_k) driven by the same canonical heights b_k
 from A_0 = sqrt(b_0), each step off its bound by a chosen slack.
 ``run_dD`` starts the exact pair at the low end of that interval, and
-``run_aA`` at zero slack is the exact pair from the high end.  As for
-the model map, lambda = LAMBDA_BIG and C1 = C2 = 1.  At small enough
-delta and large enough N the D-component outruns the d-component:
-d_N <= 2 sqrt(delta) D_N and D_N >= D_0 lambda^(N(1-eps)).  N is
-capped by ``max_steps``, past which these quantities leave the normal
-float64 range.
+``run_aA`` at zero slack is the exact pair from the high end.  Every run
+is a stack of S rows, one per slack schedule; ``run_dD`` gives one row.
+As for the model map, lambda = LAMBDA_BIG and C1 = C2 = 1.  At small
+enough delta and large enough N the D-component outruns the
+d-component: d_N <= 2 sqrt(delta) D_N and D_N >= D_0 lambda^(N(1-eps)).
+N is capped by ``max_steps``, past which these quantities leave the
+normal float64 range.
 """
 
 from __future__ import annotations
@@ -52,51 +53,49 @@ class RecurrenceParams:
 
 @dataclass
 class RecurrenceRun:
-    """One generated pair of sequences plus the conclusion flags.
+    """S generated pairs of sequences plus their conclusion flags.
 
-    ``small`` is d_k or a_k, ``large`` is D_k or A_k.  The flags record
-    whether the terminal bounds and the stepwise inductive bounds held.
-    A run of S stacked slack schedules holds (S, N + 1) sequences and
-    (S,) bool flags; a single run holds (N + 1,) sequences and bools.
+    ``small`` is d_k or a_k, ``large`` is D_k or A_k, each (S, N + 1).
+    The (S,) bool flags record, row by row, whether the terminal bounds
+    and the stepwise inductive bounds held.
     """
 
     n: int
     small: np.ndarray
     large: np.ndarray
-    tail_bound_ok: bool | np.ndarray      # small_N <= 2 sqrt(delta) large_N
-    growth_bound_ok: bool | np.ndarray    # large_N >= large_0 lam^(N(1-eps))
-    stepwise_growth_ok: bool | np.ndarray  # large_{k+1} >= lam^(1-eps) large_k
-    stepwise_small_ok: bool | np.ndarray
-    dichotomy_ok: bool | np.ndarray
+    tail_bound_ok: np.ndarray      # small_N <= 2 sqrt(delta) large_N
+    growth_bound_ok: np.ndarray    # large_N >= large_0 lam^(N(1-eps))
+    stepwise_growth_ok: np.ndarray  # large_{k+1} >= lam^(1-eps) large_k
+    stepwise_small_ok: np.ndarray
+    dichotomy_ok: np.ndarray
 
     @property
-    def passed(self) -> bool | np.ndarray:
+    def passed(self) -> np.ndarray:
         return self.tail_bound_ok & self.growth_bound_ok
 
 
 def _run(p: RecurrenceParams, N: int, d: np.ndarray, D: np.ndarray) -> RecurrenceRun:
-    """The run of sequences d and D, with its flags checked."""
-    flag = bool if d.ndim == 1 else np.asarray
+    """The run of (S, N + 1) sequences d and D, with its flags checked."""
     sqd = np.sqrt(p.delta)
     lam_eps = LAMBDA_BIG ** (1.0 - p.epsilon)
-    target = D[..., 0] * LAMBDA_BIG ** (N * (1.0 - p.epsilon))
-    cap = (1.0 + 2.0 * p.delta + sqd) * np.maximum(d[..., :-1], sqd * D[..., :-1])
+    target = D[:, 0] * LAMBDA_BIG ** (N * (1.0 - p.epsilon))
+    cap = (1.0 + 2.0 * p.delta + sqd) * np.maximum(d[:, :-1], sqd * D[:, :-1])
     # once sqrt(delta) D_k overtakes d_k it must stay ahead; with no
     # crossover at all this holds vacuously
     ahead = sqd * D > d
     return RecurrenceRun(
         n=N, small=d, large=D,
-        tail_bound_ok=flag(d[..., N] <= 2.0 * sqd * D[..., N]),
-        growth_bound_ok=flag(
-            (D[..., N] >= target)
+        tail_bound_ok=d[:, N] <= 2.0 * sqd * D[:, N],
+        growth_bound_ok=(
+            (D[:, N] >= target)
             & (target > LAMBDA_BIG ** ((N / 2.0) * (1.0 - 4.0 * p.epsilon)))
         ),
         # stepwise inductive bounds from the proof
-        stepwise_growth_ok=flag(
-            np.all(D[..., 1:] >= lam_eps * D[..., :-1] * (1.0 - 1e-12), axis=-1)
+        stepwise_growth_ok=np.all(
+            D[:, 1:] >= lam_eps * D[:, :-1] * (1.0 - 1e-12), axis=1
         ),
-        stepwise_small_ok=flag(np.all(d[..., 1:] <= cap * (1.0 + 1e-12), axis=-1)),
-        dichotomy_ok=flag(~np.any(ahead[..., :-1] & ~ahead[..., 1:], axis=-1)),
+        stepwise_small_ok=np.all(d[:, 1:] <= cap * (1.0 + 1e-12), axis=1),
+        dichotomy_ok=~np.any(ahead[:, :-1] & ~ahead[:, 1:], axis=1),
     )
 
 
@@ -105,19 +104,19 @@ def _step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step (small, large) from (1, large0) over heights b with slack.
 
-    ``slack`` is (..., N, 2); the schedules along its leading axes step
-    together, and the sequences come back as (..., N + 1) arrays.
+    ``slack`` is (S, N, 2); the S schedules step together, and the
+    sequences come back as (S, N + 1) arrays.
     """
     dl = params.delta
-    under = 1.0 - np.moveaxis(slack[..., 0], -1, 0)
-    over = np.moveaxis(slack[..., 1], -1, 0)
-    small = np.empty((len(b),) + slack.shape[:-2])
+    under = 1.0 - slack[:, :, 0].T
+    over = slack[:, :, 1].T
+    small = np.empty((len(b), len(slack)))
     large = np.empty_like(small)
     small[0], large[0] = 1.0, large0
     for k in range(len(b) - 1):
         small[k + 1] = ((1.0 + 2.0 * dl) * small[k] + dl * large[k]) * under[k]
         large[k + 1] = (LAMBDA_BIG - dl) * large[k] - b[k] * small[k] + over[k] * large[k]
-    return np.moveaxis(small, 0, -1), np.moveaxis(large, 0, -1)
+    return small.T, large.T
 
 
 def max_steps(params: RecurrenceParams) -> int:
@@ -177,7 +176,8 @@ def _check_n(params: RecurrenceParams, N: int) -> None:
 
 
 def run_dD(params: RecurrenceParams, N: int) -> RecurrenceRun:
-    """Generate the exact (d, D) recurrence and check its conclusions.
+    """Generate the exact (d, D) recurrence as a one-row run and check
+    its conclusions.
 
     D_0 = (lambda + delta)^(-N/2), the low end of the admissible starts;
     ``run_aA`` at zero slack is the exact run from the high end, sqrt(b_0).
@@ -185,7 +185,7 @@ def run_dD(params: RecurrenceParams, N: int) -> RecurrenceRun:
     _check_n(params, N)
     b = geometric_heights(params, N)
     D0 = (LAMBDA_BIG + params.delta) ** (-N / 2.0)
-    return _run(params, N, *_step(params, b, D0, np.zeros((N, 2))))
+    return _run(params, N, *_step(params, b, D0, np.zeros((1, N, 2))))
 
 
 def geometric_heights(params: RecurrenceParams, N: int) -> np.ndarray:
@@ -196,49 +196,30 @@ def geometric_heights(params: RecurrenceParams, N: int) -> np.ndarray:
 
 
 def run_aA(
-    params: RecurrenceParams,
-    N: int,
-    slack_schedule: np.ndarray | None = None,
+    params: RecurrenceParams, N: int, slack_schedule: np.ndarray
 ) -> RecurrenceRun:
-    """Generate admissible inequality pairs (a, A).
+    """Generate admissible inequality pairs (a, A), one per slack schedule.
 
     The pairs are driven by the canonical heights ``geometric_heights``
-    from A_0 = sqrt(b_0).  ``slack_schedule`` holds per-step fractions
-    in [0, 1): at step k the a-update undershoots its allowed maximum
-    by slack[k, 0] of itself and the A-update overshoots its required
-    minimum by slack[k, 1] of the current A_k.  Zero slack reproduces
-    the exact (d, D) pair.
-
-    One (N, 2) schedule gives one run.  A stack of S schedules, shape
-    (S, N, 2), is stepped together from the shared heights and A_0 into
-    one run whose ``small`` and ``large`` are (S, N + 1) and whose
-    flags and ``passed`` are (S,) bool arrays; row s equals the single
-    run of schedule s bit for bit.
+    from A_0 = sqrt(b_0).  ``slack_schedule`` is an (S, N, 2) stack of
+    per-step fractions in [0, 1), S >= 0: at step k the a-update of row
+    s undershoots its allowed maximum by slack[s, k, 0] of itself and
+    the A-update overshoots its required minimum by slack[s, k, 1] of
+    the current A_k.  Zero slack reproduces the exact (d, D) pair.  The
+    S schedules step together into one run of S rows.
     """
     _check_n(params, N)
     b = geometric_heights(params, N)
     A0 = np.sqrt(b[0])
-    slack = (
-        np.zeros((N, 2))
-        if slack_schedule is None
-        else np.asarray(slack_schedule, dtype=float)
-    )
-    if (
-        slack.ndim not in (2, 3)
-        or slack.shape[-2:] != (N, 2)
-        or not np.all((0.0 <= slack) & (slack < 1.0))
-    ):
-        raise ValueError(
-            "slack schedule must be (N, 2) or (S, N, 2) fractions in [0, 1)"
-        )
+    slack = np.asarray(slack_schedule, dtype=float)
+    if slack.shape[1:] != (N, 2) or not np.all((0.0 <= slack) & (slack < 1.0)):
+        raise ValueError("slack schedule must be (S, N, 2) fractions in [0, 1)")
     return _run(params, N, *_step(params, b, A0, slack))
 
 
-def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:
-    """Stepwise domination A_k >= D_k and A_k / a_k >= D_k / d_k.
-
-    Stacked runs are checked row by row, broadcasting a single run
-    against a stack, and give an (S,) bool array.
+def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> np.ndarray:
+    """Stepwise domination A_k >= D_k and A_k / a_k >= D_k / d_k, row by
+    row, as an (S,) bool array; a one-row run broadcasts against S rows.
     """
     if run_a.n != run_d.n:
         raise ValueError("runs must have equal length")
@@ -248,5 +229,4 @@ def dominates(run_a: RecurrenceRun, run_d: RecurrenceRun) -> bool | np.ndarray:
     # an a_k or d_k that underflowed to 0 gives the true ratio, +inf
     with np.errstate(divide="ignore"):
         ratio_a, ratio_d = A / a, D / d
-    ok = np.all(A * tol >= D, axis=-1) & np.all(ratio_a * tol >= ratio_d, axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
+    return np.all(A * tol >= D, axis=1) & np.all(ratio_a * tol >= ratio_d, axis=1)

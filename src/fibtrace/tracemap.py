@@ -68,12 +68,14 @@ def trace_orbit(a, b, c, n: int) -> np.ndarray:
     return s
 
 
-def fricke(p) -> float | np.ndarray:
-    """Fricke invariant G = x^2 + y^2 + z^2 - 2xyz - 1, conserved by the map."""
+def fricke(p) -> np.ndarray:
+    """Fricke invariant G = x^2 + y^2 + z^2 - 2xyz - 1, conserved by the map.
+
+    Accepts a (..., 3) array and gives numpy's (...) result.
+    """
     p = _as_point(p)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    g = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
-    return float(g) if g.ndim == 0 else g
+    return x * x + y * y + z * z - 2.0 * x * y * z - 1.0
 
 
 def per2_point(x) -> np.ndarray:

@@ -112,10 +112,10 @@ def test_criterion_06_recurrence_suite():
     t0 = time.perf_counter()
     delta0, n0 = 1e-3, 200  # recorded passing pair
     p = RecurrenceParams(epsilon=0.1, delta=delta0)  # lambda = MU**2, C1 = C2 = 1
-    run = recurrences.run_dD(p, n0)
-    ok = (run.tail_bound_ok and run.growth_bound_ok
-          and run.stepwise_growth_ok and run.stepwise_small_ok
-          and run.dichotomy_ok)
+    run = recurrences.run_dD(p, n0)  # one row
+    ok = bool(run.tail_bound_ok[0] and run.growth_bound_ok[0]
+              and run.stepwise_growth_ok[0] and run.stepwise_small_ok[0]
+              and run.dichotomy_ok[0])
     rng = np.random.default_rng(106)
     slack = np.empty((100, n0, 2))
     for row in slack:
@@ -123,7 +123,8 @@ def test_criterion_06_recurrence_suite():
         row[:, 1] = rng.uniform(0, 0.2, n0)
     # all 100 schedules step together from the shared A_0
     r_a = recurrences.run_aA(p, n0, slack_schedule=slack)
-    r_d = recurrences.run_aA(p, n0)  # zero slack: the exact run from A_0
+    # zero slack: the exact run from A_0, one row
+    r_d = recurrences.run_aA(p, n0, slack_schedule=np.zeros((1, n0, 2)))
     passed = np.count_nonzero(r_a.passed & recurrences.dominates(r_a, r_d))
     ok = ok and passed == 100 and time.perf_counter() - t0 < 5.0
     report(6, "recurrence bounds at (delta0, N0) = (1e-3, 200)", ok, t0,

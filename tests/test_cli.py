@@ -50,6 +50,20 @@ def test_spectrum_command_and_csv(tmp_path):
     assert all(band.keys() == {"lo", "hi"} for band in payload["bands"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--set", "coupling=1", "--set", "k=4"],  # its CSV is written first
+    ["subshift", "--set", "n=4"],  # JSON only
+])
+def test_an_unwritable_out_exits_2_naming_the_path(tmp_path, argv):
+    missing = tmp_path / "missing"
+    r = run_cli(*argv, "--out", str(missing / "x.json"))
+    assert r.returncode == 2
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("output error: cannot write ")
+    assert str(missing / "x.json") in line
+    assert not missing.exists()
+
+
 def test_negative_coupling_exits_2_naming_field(tmp_path):
     r = run_cli(
         "spectrum", "--out", str(tmp_path / "x.json"), "--set", "coupling=-1"

@@ -525,10 +525,12 @@ def _eigenframe_distance_stacked(p, inv_frame):
 def test_eigenframe_distance_matches_the_stacked_formulation():
     rng = np.random.default_rng(23)
     inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
+    # the module's once-computed inverse is this one, bit for bit
+    assert np.array_equal(empirical._inv_frame().view(np.int64), inv_frame.view(np.int64))
     edge = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
     for p in (rng.uniform(-3.0, 3.0, (20000, 3)), edge, singular_points(),
               np.array([[0.3, -0.2, 0.9]]), np.empty((0, 3))):
-        got = empirical._eigenframe_distance(p.T, inv_frame)
+        got = empirical._eigenframe_distance(p.T)
         want = _eigenframe_distance_stacked(p, inv_frame)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -605,7 +607,8 @@ def test_coordinate_first_helpers_match_the_row_forms():
     p, v = _helper_rows()
     q = np.ascontiguousarray(p.T)
     inv_frame = np.linalg.inv(certify.singular_eigen().eigenvectors)
-    assert _same_bits(empirical._eigenframe_distance(q, inv_frame),
+    assert np.array_equal(empirical._inv_frame().view(np.int64), inv_frame.view(np.int64))
+    assert _same_bits(empirical._eigenframe_distance(q),
                       _eigenframe_distance_rows(p, inv_frame))
     e_u, e_s = empirical._unstable_frame(q)
     r_u, r_s = _unstable_frame_rows(p)

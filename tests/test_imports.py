@@ -341,3 +341,35 @@ def test_every_public_member_has_a_reader():
     found += [f"UNREAD_MEMBERS names {stem}.{cls}.{name}, which is read or is not "
               "a public member" for stem, cls, name in sorted(UNREAD_MEMBERS.keys() - unread)]
     assert found == []
+
+
+def _tests_ndim(node):
+    """Whether an expression reads ``.ndim`` or calls ``ndim``."""
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "ndim")
+        or (isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "ndim")
+        for n in ast.walk(node))
+
+
+def _ndim_switches(tree, stem):
+    """``module.function:line`` of each conditional expression whose test
+    reads a rank (``module.Class.method:line`` in a method)."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.IfExp) and _tests_ndim(child.test):
+                yield f"{where}:{child.lineno}"
+            yield from visit(child, where)
+    yield from visit(tree, stem)
+
+
+def test_no_result_switches_between_a_scalar_and_an_array_on_its_rank():
+    # a function returns one kind of result: numpy's, whatever the rank of
+    # its input; an if statement that refuses an input of the wrong rank
+    # is validation, not a switch, and is allowed
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in _ndim_switches(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert found == []

@@ -12,10 +12,10 @@ from fibtrace.recurrences import RecurrenceParams
 
 def test_default_params_pass_all_flags():
     run = recurrences.run_dD(RecurrenceParams(delta=1e-3), 200)
-    assert run.passed
-    assert run.tail_bound_ok and run.growth_bound_ok
-    assert run.stepwise_growth_ok and run.stepwise_small_ok
-    assert run.dichotomy_ok
+    assert run.small.shape == run.large.shape == (1, 201)
+    for name in FLAGS:
+        assert getattr(run, name).shape == (1,) and getattr(run, name).dtype == bool
+        assert getattr(run, name)[0], name
 
 
 def test_param_validation():
@@ -44,14 +44,14 @@ def test_zero_slack_aA_equals_dD():
     N = 120
     b = recurrences.geometric_heights(p, N)
     for run, D0 in ((recurrences.run_dD(p, N), (LAMBDA_BIG + p.delta) ** (-N / 2.0)),
-                    (recurrences.run_aA(p, N), np.sqrt(b[0]))):
+                    (recurrences.run_aA(p, N, _zero(N)), np.sqrt(b[0]))):
         d, D = np.empty(N + 1), np.empty(N + 1)
         d[0], D[0] = 1.0, D0
         for k in range(N):
             d[k + 1] = (1.0 + 2.0 * p.delta) * d[k] + p.delta * D[k]
             D[k + 1] = (LAMBDA_BIG - p.delta) * D[k] - b[k] * d[k]
-        assert np.array_equal(run.small, d)
-        assert np.array_equal(run.large, D)
+        assert np.array_equal(run.small, [d])
+        assert np.array_equal(run.large, [D])
 
 
 def test_random_slack_schedules_dominate():
@@ -62,43 +62,46 @@ def test_random_slack_schedules_dominate():
         slack = np.column_stack(
             [rng.uniform(0, 0.3, N), rng.uniform(0, 0.2, N)]
         )
-        r_a = recurrences.run_aA(p, N, slack_schedule=slack)
-        r_d = recurrences.run_aA(p, N)
-        assert r_a.passed
-        assert recurrences.dominates(r_a, r_d)
+        r_a = recurrences.run_aA(p, N, slack_schedule=slack[None])
+        r_d = recurrences.run_aA(p, N, _zero(N))
+        assert r_a.passed[0]
+        assert recurrences.dominates(r_a, r_d)[0]
 
 
 def test_dominates_reads_an_underflowed_a_as_an_infinite_ratio():
     # an undershoot slack near 1 drives a_k to 0, where A_k / a_k = +inf
     p = RecurrenceParams(delta=0.0)
     N = 736
-    slack = np.zeros((N, 2))
-    slack[:, 0] = 0.999999
+    slack = np.zeros((1, N, 2))
+    slack[..., 0] = 0.999999
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r_a = recurrences.run_aA(p, N, slack_schedule=slack)
-        r_d = recurrences.run_aA(p, N)
+        r_d = recurrences.run_aA(p, N, _zero(N))
         assert np.any(r_a.small == 0.0)
-        assert recurrences.dominates(r_a, r_d) is True
+        assert np.array_equal(recurrences.dominates(r_a, r_d), [True])
 
 
 def test_slack_schedule_validation():
     p = RecurrenceParams(delta=1e-3)
     with pytest.raises(ValueError):
-        recurrences.run_aA(p, 50, slack_schedule=np.full((50, 2), 1.5))
+        recurrences.run_aA(p, 50, slack_schedule=np.full((1, 50, 2), 1.5))
     with pytest.raises(ValueError):
-        recurrences.run_aA(p, 50, slack_schedule=np.zeros((49, 2)))
+        recurrences.run_aA(p, 50, slack_schedule=np.zeros((1, 49, 2)))
     nan = np.zeros((3, 50, 2))
     nan[1, 7, 1] = np.nan
-    for slack in (nan, nan[1]):
+    for slack in (nan, nan[1:2]):
         with pytest.raises(ValueError, match="fractions in"):
             recurrences.run_aA(p, 50, slack_schedule=slack)
+    # a single (N, 2) schedule is not a stack
+    with pytest.raises(ValueError, match=r"must be \(S, N, 2\) fractions"):
+        recurrences.run_aA(p, 50, slack_schedule=np.zeros((50, 2)))
 
 
 def test_large_delta_fails_tail_bound():
     # far past any admissible threshold the d-component catches up
     run = recurrences.run_dD(RecurrenceParams(delta=0.24), 60)
-    assert not run.passed
+    assert np.array_equal(run.passed, [False])
 
 
 def _slack_stack(rng, S, N):
@@ -122,6 +125,11 @@ def _built_stack(N):
 
 FLAGS = ("tail_bound_ok", "growth_bound_ok", "stepwise_growth_ok",
          "stepwise_small_ok", "dichotomy_ok", "passed")
+
+
+def _zero(N):
+    """The one-row zero-slack stack: the exact run from A_0."""
+    return np.zeros((1, N, 2))
 
 
 def _reference_run(p, N, slack):
@@ -178,15 +186,15 @@ def test_stacked_run_aA_equals_single_runs(delta, N, schedules):
     for name in FLAGS:
         assert getattr(stacked, name).shape == (S,)
     for s, row in enumerate(slack):
-        one = recurrences.run_aA(p, N, slack_schedule=row)
-        assert np.array_equal(stacked.small[s], one.small)
-        assert np.array_equal(stacked.large[s], one.large)
+        one = recurrences.run_aA(p, N, slack_schedule=row[None])
+        assert np.array_equal(stacked.small[s], one.small[0])
+        assert np.array_equal(stacked.large[s], one.large[0])
         for name in FLAGS:
-            assert type(getattr(one, name)) is bool
-            assert getattr(stacked, name)[s] == getattr(one, name), name
+            assert getattr(one, name).shape == (1,)
+            assert getattr(stacked, name)[s] == getattr(one, name)[0], name
         a, A, flags = _reference_run(p, N, row)
-        assert np.array_equal(one.small, a) and np.array_equal(one.large, A)
-        assert {name: getattr(one, name) for name in FLAGS} == flags
+        assert np.array_equal(one.small[0], a) and np.array_equal(one.large[0], A)
+        assert {name: bool(getattr(one, name)[0]) for name in FLAGS} == flags
     if delta > 0.1:  # some flag holds on some schedules and fails on others
         counts = [np.count_nonzero(getattr(stacked, name)) for name in FLAGS]
         assert any(0 < n < S for n in counts)
@@ -199,13 +207,12 @@ def test_stacked_dominates_equals_single_calls(delta, N):
     p = RecurrenceParams(delta=delta)
     slack = _slack_stack(np.random.default_rng(22), 40, N)
     stacked = recurrences.run_aA(p, N, slack_schedule=slack)
-    ref = recurrences.run_aA(p, N)
+    ref = recurrences.run_aA(p, N, _zero(N))
     dom = recurrences.dominates(stacked, ref)
     assert dom.shape == (40,) and dom.dtype == bool
     for s, row in enumerate(slack):
-        one = recurrences.run_aA(p, N, slack_schedule=row)
-        assert dom[s] == recurrences.dominates(one, ref)
-    assert type(recurrences.dominates(one, ref)) is bool
+        one = recurrences.dominates(recurrences.run_aA(p, N, slack_schedule=row[None]), ref)
+        assert one.shape == (1,) and dom[s] == one[0]
 
 
 def test_zero_slack_schedules():
@@ -244,8 +251,8 @@ def _quantities(p, N):
 
 
 def _overshoot(N):
-    slack = np.zeros((N, 2))
-    slack[:, 1] = np.nextafter(1.0, 0.0)
+    slack = np.zeros((1, N, 2))
+    slack[..., 1] = np.nextafter(1.0, 0.0)
     return slack
 
 
@@ -276,9 +283,10 @@ def test_max_steps_is_the_last_normal_n(params):
         recurrences.run_dD(params, n_max)
         runs = recurrences.run_aA(params, n_max, slack_schedule=_overshoot(n_max))
     assert np.all(np.isfinite(runs.large))
-    for run in (recurrences.run_dD, recurrences.run_aA):
-        with pytest.raises(ValueError, match=f"N must be <= {n_max}"):
-            run(params, n_max + 1)
+    with pytest.raises(ValueError, match=f"N must be <= {n_max}"):
+        recurrences.run_dD(params, n_max + 1)
+    with pytest.raises(ValueError, match=f"N must be <= {n_max}"):
+        recurrences.run_aA(params, n_max + 1, _zero(n_max + 1))
 
 
 def test_max_steps_bounds_the_overshooting_a_run():
@@ -319,11 +327,11 @@ def test_runs_at_max_steps_hold_finite_values(eps, delta):
         warnings.simplefilter("error")
         runs = (recurrences.run_dD(p, N),
                 recurrences.run_aA(p, N, slack_schedule=_overshoot(N)),
-                recurrences.run_aA(p, N))
+                recurrences.run_aA(p, N, _zero(N)))
     sqb = np.sqrt(recurrences.geometric_heights(p, N))
     for run in runs:
         assert np.all(np.isfinite(run.small)) and np.all(np.isfinite(run.large))
-        n = np.maximum(np.abs(run.small), s * np.abs(run.large) / sqb)
+        n = np.maximum(np.abs(run.small[0]), s * np.abs(run.large[0]) / sqb)
         assert np.all(n[1:] <= (G + m * sqb[:-1]) * n[:-1] * (1.0 + 1e-12))
 
 
